@@ -3,27 +3,25 @@
 ``test_service_load_record`` serves the same seeded Poisson arrival stream
 of frontier queries two ways:
 
-* **batch-at-a-time** (the reference, ``workers=0``) -- the pre-service
-  serving model: queries are admitted one at a time and each blocks the
-  server until it finishes (one ``run_batch([query])`` per arrival).
-  Arrivals during an execution wait; nothing ever coalesces across
-  queries.
-* **service lane** -- one :class:`~repro.service.executor.QueryService`
-  per worker count: ``submit()`` returns immediately, the background
-  admission loop drains the accumulated backlog into broker waves, so
-  queries arriving while a wave executes coalesce into the next one
-  (shared server build, per-(server, round) batched COUNT descents,
-  pooled per-query advances between the barriers).
+* **batch-at-a-time** (the reference) -- the pre-service serving model:
+  queries are admitted one at a time and each blocks the server until it
+  finishes (one ``run_batch([query])`` per arrival).  Arrivals during an
+  execution wait; nothing ever coalesces across queries.
+* **service lane** -- one :class:`~repro.service.executor.QueryService`:
+  ``submit()`` returns immediately, the background admission loop drains
+  the accumulated backlog into broker waves, so queries arriving while a
+  wave executes coalesce into the next one (shared server build,
+  per-(server, round) batched COUNT descents).
 
 Both lanes replay the *same* arrival offsets (seeded exponential gaps),
 and every served query is asserted bit-identical -- pairs, bytes,
 per-server stats, operator counts, channel-ledger fingerprints and trace
 -- to its standalone ``run_join`` before any number is recorded.  The
 record -- sustained qps, p50/p95/p99 submission-to-completion latency and
-the wall-clock speedup per worker count -- lands in
+the wall-clock speedup of the service lane -- lands in
 ``benchmarks/results/service_load.json`` (merged by
 ``benchmarks/collect.py``, regression-gated via ``collect.py --check``
-against the stated ``min_speedup`` floors).
+against the stated ``min_speedup`` floor).
 """
 
 from __future__ import annotations
@@ -59,18 +57,17 @@ BENCH_EPSILON = 0.002
 #: service exists for.
 MEAN_GAP_S = 0.0015
 ARRIVAL_SEED = 7
-#: Admission width of the service lanes: let the whole accumulated backlog
+#: Admission width of the service lane: let the whole accumulated backlog
 #: coalesce into one wave (a server tuning knob, not a correctness one --
 #: results are admission-width-independent).
 SERVICE_MAX_WAVE = BENCH_QUERIES
-#: Pooled lane widths measured against the ``workers=0`` reference.
-WORKER_COUNTS = (2, 4)
 #: Timed repeats per lane.  The lanes are interleaved and each repeat is a
 #: *paired* measurement (reference and service lanes back-to-back under
 #: the same machine state); the gated speedup is the median of the
 #: per-repeat ratios, which cancels CPU drift that best-of-N cannot.
 REPEATS = 5
-#: Required minimum wall-clock speedup per pooled lane (recorded verbatim).
+#: Required minimum wall-clock speedup of the service lane (recorded
+#: verbatim).
 MIN_SPEEDUP = 1.05
 
 
@@ -143,7 +140,7 @@ def _run_reference_lane(
     queries: List[JoinQuery], offsets: np.ndarray
 ) -> Tuple[float, List[float], List[Tuple]]:
     """Batch-at-a-time: admit one arrival, block until it completes."""
-    broker = QueryBroker(cache=False, workers=0)
+    broker = QueryBroker(cache=False)
     latencies: List[float] = []
     snapshots: List[Tuple] = []
     t0 = time.perf_counter()
@@ -158,13 +155,11 @@ def _run_reference_lane(
 
 
 def _run_service_lane(
-    queries: List[JoinQuery], offsets: np.ndarray, workers: int
+    queries: List[JoinQuery], offsets: np.ndarray
 ) -> Tuple[float, List[float], List[Tuple], Dict[str, int]]:
     """Continuous admission: submit at each arrival, collect asynchronously."""
     tickets: List[int] = []
-    with QueryService(
-        workers=workers, max_wave=SERVICE_MAX_WAVE, cache=False
-    ) as service:
+    with QueryService(max_wave=SERVICE_MAX_WAVE, cache=False) as service:
         t0 = time.perf_counter()
 
         def feed() -> None:
@@ -212,59 +207,42 @@ def test_service_load_record():
     # full untimed pass.
     QueryBroker(cache=False).run_batch(queries)
 
-    # Paired, interleaved repeats: each repeat runs the reference and every
+    # Paired, interleaved repeats: each repeat runs the reference and the
     # service lane back-to-back under the same machine state and yields one
-    # speedup ratio per lane.  The gated figure is the *median* ratio --
-    # robust against the CPU drift of a small box, which inflates or
-    # deflates whole repeats but rarely half of one.
+    # speedup ratio.  The gated figure is the *median* ratio -- robust
+    # against the CPU drift of a small box, which inflates or deflates
+    # whole repeats but rarely half of one.
     ref_best = None
-    lane_best: Dict[int, Tuple] = {}
-    pairwise: Dict[int, List[float]] = {workers: [] for workers in WORKER_COUNTS}
+    lane_best = None
+    pairwise: List[float] = []
     for _ in range(REPEATS):
         ref_wall, ref_lat, snaps = _run_reference_lane(queries, offsets)
         assert snaps == references, "reference lane diverged from standalone"
         if ref_best is None or ref_wall < ref_best[0]:
             ref_best = (ref_wall, ref_lat)
-        for workers in WORKER_COUNTS:
-            wall, lat, snaps, wave_stats = _run_service_lane(
-                queries, offsets, workers
-            )
-            assert snaps == references, f"service lane (workers={workers}) diverged"
-            assert wave_stats["waves"] < BENCH_QUERIES, (
-                "no arrival ever coalesced into a shared wave"
-            )
-            pairwise[workers].append(ref_wall / wall)
-            if workers not in lane_best or wall < lane_best[workers][0]:
-                lane_best[workers] = (wall, lat, wave_stats)
+        wall, lat, snaps, wave_stats = _run_service_lane(queries, offsets)
+        assert snaps == references, "service lane diverged from standalone"
+        assert wave_stats["waves"] < BENCH_QUERIES, (
+            "no arrival ever coalesced into a shared wave"
+        )
+        pairwise.append(ref_wall / wall)
+        if lane_best is None or wall < lane_best[0]:
+            lane_best = (wall, lat, wave_stats)
 
-    cases: Dict[str, Dict] = {}
-    for workers in WORKER_COUNTS:
-        wall, lat, wave_stats = lane_best[workers]
-        cases[f"workers={workers}"] = {
-            "wall_s": round(wall, 4),
-            "qps": round(BENCH_QUERIES / wall, 2),
-            "speedup": round(float(np.median(pairwise[workers])), 2),
-            "pairwise_speedups": [round(x, 2) for x in pairwise[workers]],
-            **_percentiles(lat),
-            **wave_stats,
-        }
     ref_wall, ref_lat = ref_best
-    # The gated figure: the service lane at its best pooled width must beat
-    # batch-at-a-time serving (a deployment picks its worker count; on a
-    # single-core box wider pools only add scheduling overhead, so the
-    # per-width numbers above are informational).
-    best_speedup = max(case["speedup"] for case in cases.values())
+    wall, lat, wave_stats = lane_best
+    speedup = round(float(np.median(pairwise)), 2)
 
     record = {
         "description": (
-            f"{BENCH_QUERIES} frontier (srJoin) queries arriving as one "
+            f"{BENCH_QUERIES} frontier (upJoin) queries arriving as one "
             f"seeded Poisson stream (mean gap {MEAN_GAP_S * 1e3:.0f}ms): "
-            "batch-at-a-time serving (one blocking run_batch per arrival, "
-            "workers=0 -- the pre-service model) vs the QueryService "
+            "batch-at-a-time serving (one blocking run_batch per arrival "
+            "-- the pre-service model) vs the QueryService "
             "continuous-admission lane (backlog coalesces into broker "
-            "waves; pooled per-query advances between the coalesced COUNT "
-            "barriers); every query bit-identical to standalone run_join "
-            "in every lane; speedup = median of per-repeat paired ratios "
+            "waves with one COUNT exchange per server and round); every "
+            "query bit-identical to standalone run_join in both lanes; "
+            "speedup = median of per-repeat paired ratios "
             f"over {REPEATS} interleaved repeats (walls/latencies: best "
             "repeat)"
         ),
@@ -282,9 +260,15 @@ def test_service_load_record():
             "qps": round(BENCH_QUERIES / ref_wall, 2),
             **_percentiles(ref_lat),
         },
-        "cases": cases,
-        #: Gated: the best pooled service lane vs batch-at-a-time serving.
-        "speedup": best_speedup,
+        "service": {
+            "wall_s": round(wall, 4),
+            "qps": round(BENCH_QUERIES / wall, 2),
+            "pairwise_speedups": [round(x, 2) for x in pairwise],
+            **_percentiles(lat),
+            **wave_stats,
+        },
+        #: Gated: the service lane vs batch-at-a-time serving.
+        "speedup": speedup,
         "min_speedup": MIN_SPEEDUP,
     }
     results_dir = Path(__file__).parent / "results"
@@ -293,8 +277,7 @@ def test_service_load_record():
         json.dumps(record, indent=2) + "\n"
     )
 
-    assert best_speedup >= MIN_SPEEDUP, (
-        f"service lane regressed: best median paired speedup {best_speedup}x "
-        f"vs batch-at-a-time (floor {MIN_SPEEDUP}x; "
-        f"per lane: { {k: v['pairwise_speedups'] for k, v in cases.items()} })"
+    assert speedup >= MIN_SPEEDUP, (
+        f"service lane regressed: median paired speedup {speedup}x vs "
+        f"batch-at-a-time (floor {MIN_SPEEDUP}x; pairs {pairwise})"
     )

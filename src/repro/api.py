@@ -25,7 +25,7 @@ from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.core.planner import ALGORITHMS, build_algorithm, build_session_stack
 from repro.core.result import JoinResult
-from repro.datasets.dataset import SpatialDataset
+from repro.datasets.dataset import SpatialDataset, default_join_window
 from repro.device.pda import MobileDevice
 from repro.errors import (
     ChannelFault,
@@ -215,7 +215,6 @@ def batch_join(
     queries: Sequence[JoinQuery],
     config: Optional[NetworkConfig] = None,
     max_wave: Optional[int] = None,
-    workers: Optional[int] = None,
     broker: Optional[QueryBroker] = None,
     cache_max_bytes: object = _UNSET,
     tracer: Optional[Tracer] = None,
@@ -226,12 +225,9 @@ def batch_join(
     Each query is planned (cheapest predicted algorithm unless the query
     names one), deduplicated against identical queries, and executed in
     deterministic waves with the COUNT exchanges of co-scheduled queries
-    coalesced per server.  ``workers`` > 0 advances the queries of each
-    wave on a thread pool between the coalesced barriers (0, the default,
-    is the inline serial path).  Outcomes arrive in submission order; each
+    coalesced per server.  Outcomes arrive in submission order; each
     result is bit-identical to running the same query standalone through
-    :func:`quick_join` / :func:`~repro.core.planner.run_join`, under any
-    worker count.
+    :func:`quick_join` / :func:`~repro.core.planner.run_join`.
 
     ``cache_max_bytes`` bounds the broker's result cache (default
     :data:`DEFAULT_CACHE_MAX_BYTES`; ``None`` means unbounded), and
@@ -241,7 +237,7 @@ def batch_join(
     Pass a ``broker`` to reuse its server builds, result cache and
     calibration state across several batches.  A passed broker carries its
     own configuration, so combining it with ``config``/``max_wave``/
-    ``workers``/``cache_max_bytes``/``tracer``/``metrics`` is an error
+    ``cache_max_bytes``/``tracer``/``metrics`` is an error
     rather than a silent override.  For continuous (non-batch) admission
     use :class:`repro.api.QueryService`.
     """
@@ -249,21 +245,18 @@ def batch_join(
         if (
             config is not None
             or max_wave is not None
-            or workers is not None
             or cache_max_bytes is not _UNSET
             or tracer is not None
             or metrics is not None
         ):
             raise ValueError(
-                "pass either a pre-built broker or config/max_wave/workers/"
+                "pass either a pre-built broker or config/max_wave/"
                 "cache_max_bytes/tracer/metrics, not both"
             )
         return broker.run_batch(queries)
     kwargs = {}
     if max_wave is not None:
         kwargs["max_wave"] = max_wave
-    if workers is not None:
-        kwargs["workers"] = workers
     if cache_max_bytes is not _UNSET:
         kwargs["cache_max_bytes"] = cache_max_bytes
     if tracer is not None:
@@ -356,8 +349,8 @@ class AdHocJoinSession:
         return list(self._history)
 
     def default_window(self) -> Rect:
-        """The union MBR of both datasets (the default joined region)."""
-        return self.dataset_r.bounds().union(self.dataset_s.bounds())
+        """The default joined region (see :func:`default_join_window`)."""
+        return default_join_window(self.dataset_r, self.dataset_s)
 
     def run(
         self,

@@ -23,7 +23,7 @@ from repro.core.result import JoinResult
 from repro.core.semijoin import SemiJoin
 from repro.core.srjoin import SrJoin
 from repro.core.upjoin import UpJoin
-from repro.datasets.dataset import SpatialDataset
+from repro.datasets.dataset import SpatialDataset, default_join_window
 from repro.device.pda import MobileDevice
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
@@ -290,7 +290,8 @@ def run_join(
     params:
         Algorithm tunables (alpha, rho, bucket queries, ...).
     window:
-        The joined region; defaults to the union MBR of both datasets.
+        The joined region; defaults to the union MBR of the non-empty
+        side(s) (:func:`~repro.datasets.dataset.default_join_window`).
     faults, retry, deadline_s:
         Optional resilience stack: a seeded fault plan to inject, the
         retry policy answering it, and a per-query simulated-time deadline.
@@ -326,5 +327,5 @@ def run_join(
     )
     algo = build_algorithm(algorithm, device, spec, params, **algorithm_kwargs)
     if window is None:
-        window = dataset_r.bounds().union(dataset_s.bounds())
+        window = default_join_window(dataset_r, dataset_s)
     return algo.run(window)

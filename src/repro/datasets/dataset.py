@@ -10,6 +10,7 @@ server interfaces), but tests and the brute-force oracles do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,7 +19,12 @@ from repro.geometry import rect_array
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
-__all__ = ["SpatialDataset"]
+__all__ = ["EMPTY_JOIN_WINDOW", "SpatialDataset", "default_join_window"]
+
+#: The default joined region when both sides are empty.  Nothing can
+#: match, so any fixed window gives 0 pairs; the unit square keeps every
+#: algorithm's quadrant and grid arithmetic well defined.
+EMPTY_JOIN_WINDOW = Rect(0.0, 0.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,8 @@ class SpatialDataset:
 
     def __post_init__(self) -> None:
         mbrs = rect_array.as_mbr_array(self.mbrs)
+        if not np.isfinite(mbrs).all():
+            raise ValueError("mbrs must be finite (no NaN or inf coordinates)")
         object.__setattr__(self, "mbrs", mbrs)
         if self.oids is None:
             oids = np.arange(mbrs.shape[0], dtype=np.int64)
@@ -195,3 +203,13 @@ class SpatialDataset:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"SpatialDataset(name={self.name!r}, n={len(self)})"
+
+
+def default_join_window(dataset_r: SpatialDataset, dataset_s: SpatialDataset) -> Rect:
+    """The default joined region: the union MBR of the non-empty side(s).
+
+    An empty side contributes nothing (it has no MBR to bound); when both
+    sides are empty the fixed :data:`EMPTY_JOIN_WINDOW` is returned.
+    """
+    bounds = [dataset.bounds() for dataset in (dataset_r, dataset_s) if len(dataset)]
+    return reduce(Rect.union, bounds) if bounds else EMPTY_JOIN_WINDOW

@@ -19,7 +19,7 @@ Determinism contract: each channel draws its events from its **own**
 substream, seeded by ``(plan seed, server name)`` and advanced once per
 exchange *attempt* on that channel.  A query's fault sequence therefore
 depends only on the plan and on the query's own exchange sequence -- never
-on wave width, worker count, submission order, or what other queries do.
+on wave width, submission order, or what other queries do.
 That is what lets the chaos suite pin fault-injected runs bit-identical to
 fault-free ones (the retry layer in :mod:`repro.server.remote` accounts all
 failure traffic on a separate ledger lane).

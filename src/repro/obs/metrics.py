@@ -4,7 +4,8 @@ A :class:`MetricsRegistry` hands out three instrument kinds -- monotonic
 :class:`Counter`, last-write-wins :class:`Gauge`, fixed-bucket
 :class:`Histogram` -- each supporting label sets (``metric.inc(1,
 server="R", lane="primary")``).  All state mutates under one registry
-re-entrant lock, so wave worker threads can bump the same counter safely.
+re-entrant lock, so client threads and the service admission thread can
+bump the same counter safely.
 
 Exposition formats:
 

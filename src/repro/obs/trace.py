@@ -12,7 +12,7 @@ make it useful in a reproduction whose test suites pin bit-identity:
   thread ident.  Instrumentation labels every sibling distinctly (round
   and batch indexes, server names, tickets), so the id set of a run is a
   pure function of the workload: the same seed and queries produce the
-  same span tree under any worker count, and :func:`trace_fingerprint`
+  same span tree on every run, and :func:`trace_fingerprint`
   digests exactly the deterministic fields (ids, names, labels,
   annotations, simulated-time stamps, event sequences) into one stable
   hex string.
@@ -212,7 +212,8 @@ class Tracer:
 
     One tracer per run (standalone session or broker); spans parent
     explicitly through :meth:`Span.child` / the ``parent`` argument, so
-    concurrent wave workers never race on an implicit "current span".
+    there is no implicit "current span" for the service admission thread
+    and the broker to disagree on.
     """
 
     enabled = True
@@ -268,8 +269,7 @@ def trace_fingerprint(spans: List[Span]) -> str:
     Covers ids, parent links, names, labels, annotations, simulated-time
     stamps and the per-span event sequences; excludes wall-clock stamps,
     thread idents and creation order (entries are sorted by span id), so
-    the same workload fingerprints identically across repeats and worker
-    counts.
+    the same workload fingerprints identically across repeats.
     """
     entries = []
     for span in spans:

@@ -175,16 +175,12 @@ class SpatialServer(SpatialServerInterface):
     def evaluate_count_batch(self, windows: Sequence[Rect]) -> List[int]:
         """Answer COUNTs without touching query statistics.
 
-        The broker's wave executor evaluates each coalesced batch once on
-        the shared build and attributes per-query statistics separately via
-        the prefetch path; this entry point keeps that evaluation free of
-        stat side effects.
+        The broker evaluates each coalesced batch once on the shared build
+        and attributes per-query statistics separately via the prefetch
+        path; this entry point keeps that evaluation free of stat side
+        effects.
         """
         return self._index.count_batch(windows)
-
-    def prime_snapshot(self) -> None:
-        """Force lazy index snapshots so shared views are read-only."""
-        self._index.rtree.flat_view()
 
     @property
     def index(self) -> AggregateRTree:

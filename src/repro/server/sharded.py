@@ -6,7 +6,7 @@ deterministic :func:`~repro.datasets.partition.partition_dataset` split) and
 presents them as one logical server build.  The fleet itself never answers
 queries -- the client side talks to every shard through its own metered
 connection (:class:`~repro.server.remote.ShardedRemoteServer`) -- but it is
-the unit the query broker caches, primes, places and reuses:
+the unit the query broker caches, places and reuses:
 
 * ``shared_view()`` hands every in-flight query a statistics-isolated view
   of the whole fleet (each shard's index and dataset shared by reference);
@@ -197,11 +197,6 @@ class ShardedSpatialServer:
             for i, value in enumerate(shard.evaluate_count_batch(windows)):
                 totals[i] += int(value)
         return totals
-
-    def prime_snapshot(self) -> None:
-        """Force every shard's lazy index snapshot (read-only views after)."""
-        for shard in self.shards:
-            shard.prime_snapshot()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (

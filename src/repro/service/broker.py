@@ -33,21 +33,15 @@ buffer sizes -- and
    to running the query alone -- under any submission order, with the
    cache cold or warm (pinned by ``tests/test_service_equivalence.py``).
 
-   With ``workers >= 1`` the per-query advances *between* the coalesced
-   exchanges -- operator leaves, window/range downloads, trace assembly --
-   run on a :class:`~repro.service.executor.WaveExecutor` thread pool: the
-   leaves of different in-flight queries are independent per query (each
-   touches only its own audited session stack), so only the per-(server,
-   round) COUNT descent remains a rendezvous, evaluated once per round on
-   the coordinating thread in submission order.  ``workers=0`` (default)
-   is the inline serial path and stays the pinned bit-identity reference;
-   the pooled path is pinned against it by the same equivalence suite.
+   Every query of a wave advances inline on the executing thread, in
+   submission order.  The per-query generator advances are GIL-bound, so
+   the saving comes from coalescing the COUNT exchanges, not from running
+   the advances concurrently.
 
 Algorithms without a coalescible execution (the naive/fixed-grid
 comparators, SemiJoin, or ``execution="recursive"`` overrides) still run
 through the broker on their own isolated stacks; they simply contribute no
-shared rounds (their whole execution happens in the priming advance, which
-the pool runs concurrently with other queries' priming).
+shared rounds (their whole execution happens in the priming advance).
 """
 
 from __future__ import annotations
@@ -69,7 +63,6 @@ from repro.server.remote import ResilienceController, ServerPair
 from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
 from repro.service.cache import ResultCache, dataset_token, query_key
-from repro.service.executor import WaveExecutor, audit_ledger_isolation
 from repro.service.query import JoinQuery, QueryOutcome
 
 __all__ = ["BrokerStats", "DEFAULT_CACHE_MAX_BYTES", "QueryBroker"]
@@ -85,10 +78,10 @@ class BrokerStats:
     """Service-level accounting (metering of the joins themselves stays on
     each query's own channels).
 
-    Counter updates go through :meth:`bump`, which holds the stats lock:
-    the async service lane increments ``queries_submitted`` from client
-    threads while the admission thread advances the wave counters, so
-    plain unguarded ``+=`` would drop updates.
+    Counter updates go through :meth:`bump` and reads through
+    :meth:`as_dict`, both under the stats lock: under the async service
+    lane the admission thread writes the counters while client threads
+    may read them.
     """
 
     queries_submitted: int = 0
@@ -221,12 +214,6 @@ class QueryBroker:
         into the selector's calibration factors *after* its batch
         finishes.  Off by default so that plan selection -- and therefore
         every result -- is independent of submission order.
-    workers:
-        Size of the wave executor's thread pool.  ``0`` (default) advances
-        every query inline on the executing thread -- the pinned serial
-        reference.  ``>= 1`` advances the queries of a wave concurrently
-        between the coalesced COUNT barriers; results are bit-identical
-        under any worker count.
     index_fanout:
         Fanout of server indexes built by the broker's server cache.
     breaker_threshold:
@@ -259,7 +246,6 @@ class QueryBroker:
         cache: object = True,
         selector: Optional[CalibratedCostModel] = None,
         calibrate: bool = False,
-        workers: int = 0,
         index_fanout: int = 16,
         breaker_threshold: int = 3,
         breaker_cooldown_waves: int = 2,
@@ -295,11 +281,9 @@ class QueryBroker:
                 metrics=metrics,
             )
         self.selector = selector or CalibratedCostModel(self.config)
-        self.executor = WaveExecutor(workers)
         self.stats = BrokerStats()
-        # Guards the submission queue and the server-build cache: the async
-        # service lane submits from client threads while the admission
-        # thread executes.
+        # Guards the submission queue and the server-build cache: callers
+        # may submit from one thread while another executes a batch.
         self._lock = threading.RLock()
         self._pending: List[_Admitted] = []
         self.max_server_builds = max_server_builds
@@ -317,9 +301,9 @@ class QueryBroker:
         # --- observability state (all None / 0 while hooks are off) ---
         #: Monotone batch counter labelling "execute" spans.
         self._batch_counter = 0
-        #: The live "execute" span (coordinator thread only).
+        #: The live "execute" span.
         self._batch_span = None
-        #: The live "wave" span (coordinator thread only).
+        #: The live "wave" span.
         self._wave_span = None
         #: Parent span supplied by a wrapping QueryService admission loop.
         self._service_span = None
@@ -355,10 +339,6 @@ class QueryBroker:
                 "repro_breaker_transitions_total",
                 "Circuit-breaker state transitions, by new state and server",
             )
-
-    @property
-    def workers(self) -> int:
-        return self.executor.workers
 
     def clear_caches(self) -> None:
         """Release the result cache and the cached server builds.
@@ -662,26 +642,11 @@ class QueryBroker:
             dataset.rename(name), name=name, index_fanout=self.index_fanout
         )
 
-    @staticmethod
-    def _prime_snapshot(base) -> None:
-        """Force-build the server's flattened index snapshot(s).
-
-        The snapshot is otherwise built lazily by the first batch query.
-        With pooled advances that first query may come from several worker
-        threads at once; building it here, on the coordinating thread
-        before the wave fans out, keeps the shared read-only structures
-        truly read-only during concurrent execution.  A shard fleet primes
-        every shard.
-        """
-        base.prime_snapshot()
-
     def _build_stack(self, entry: _Admitted) -> None:
         """One isolated session stack per query: statistics views of the
         cached servers, fresh metered channels, a fresh device."""
         query = entry.query
         base_r, base_s = self._base_servers(query)
-        self._prime_snapshot(base_r)
-        self._prime_snapshot(base_s)
         entry.base_r, entry.base_s = base_r, base_s
         algorithm = entry.plan.algorithm
         resilience = None
@@ -749,10 +714,10 @@ class QueryBroker:
     def _note_breaker_transition(self, state: str, unit_name: str) -> None:
         """Emit one breaker state change to the observability hooks.
 
-        Transitions happen on the coordinator thread (admission checks and
-        wave settlement), so appending to the wave span is race-free; the
-        transition stream itself is deterministic, being a pure function of
-        the wave's failure verdicts.
+        Transitions happen on the thread executing the wave (admission
+        checks and wave settlement); the transition stream is
+        deterministic, being a pure function of the wave's failure
+        verdicts.
         """
         span = self._wave_span
         if span is not None:
@@ -952,28 +917,28 @@ class QueryBroker:
             entry.gen.close()
         self._note_entry_failure(entry, error)
 
-    def _settle(self, entries: List[_Admitted], errors: List) -> None:
-        """Apply per-query fan-out failures: typed faults isolate the
-        query; anything else is a bug and propagates (discarding the
-        batch, exactly as before the resilience layer existed)."""
-        for entry, error in zip(entries, errors):
-            if error is None:
-                continue
-            if isinstance(error, ReproError):
+    def _advance_all(self, entries: List[_Admitted], step) -> None:
+        """Run ``step(entry)`` for every entry, in submission order.
+
+        A typed :class:`~repro.errors.ReproError` isolates that query and
+        the loop goes on; anything else is a bug and propagates
+        (discarding the batch, exactly as before the resilience layer
+        existed).
+        """
+        for entry in entries:
+            try:
+                step(entry)
+            except ReproError as error:
                 self._fail_entry(entry, error)
-            else:
-                raise error
 
     # ------------------------------------------------------------------ #
 
     def _execute_wave(self, wave: List[_Admitted], wave_index: int) -> None:
         """Drive all queries of one wave in lock-step coalesced rounds.
 
-        The per-query advances between rounds -- priming, leaf operators,
-        attribution -- fan out over the wave executor (inline when
-        ``workers=0``); the coalesced COUNT evaluation stays on this
-        thread, gathered and answered in submission order, so it is both
-        the physical rendezvous and the determinism barrier.
+        Each round gathers the pending COUNT windows of every active query
+        in submission order, evaluates them once per backing server, then
+        attributes the answers and advances each query in turn.
 
         A query that raises a typed :class:`~repro.errors.ReproError` --
         an unrecoverable channel fault, retry exhaustion, a deadline
@@ -1006,8 +971,8 @@ class QueryBroker:
         building: List[_Admitted] = []
         for entry in wave:
             if wave_span is not None:
-                # Created on the coordinator in submission order; the
-                # ticket label keeps sibling query spans id-distinct.
+                # Created in submission order; the ticket label keeps
+                # sibling query spans id-distinct.
                 entry.span = wave_span.child(
                     "query", ticket=entry.index, algorithm=entry.plan.algorithm
                 )
@@ -1024,21 +989,14 @@ class QueryBroker:
                 self._fail_entry(entry, error)
                 continue
             building.append(entry)
-        if self.executor.workers and building:
-            # Concurrent advances must never share mutable session state;
-            # refuse the wave rather than corrupt ledgers silently.
-            audit_ledger_isolation([entry.device for entry in building])
         # Priming runs non-cooperative queries to completion on their own
         # stack; frontier queries stop at their first COUNT round.
-        self._settle(
-            building,
-            self.executor.map_settle(lambda entry: self._advance(entry, None), building),
-        )
+        self._advance_all(building, lambda entry: self._advance(entry, None))
         active = [entry for entry in building if entry.pending is not None]
         round_index = 0
         while active:
             # Gather: one group per backing server across all active
-            # queries, in submission order (coordinating thread only).
+            # queries, in submission order.
             groups: Dict[int, _Group] = {}
             for entry in active:
                 for server_name, rects in entry.pending.items():
@@ -1048,8 +1006,7 @@ class QueryBroker:
                     group = groups.setdefault(id(base), _Group(base))
                     group.slices.append((entry, server_name, len(group.windows), len(rects)))
                     group.windows.extend(rects)
-            # Evaluate: one batched snapshot descent per backing server --
-            # the shared rendezvous every worker barriers on.
+            # Evaluate: one batched snapshot descent per backing server.
             answers_for: Dict[Tuple[int, str], List[int]] = {}
             for group in groups.values():
                 group_span = None
@@ -1076,15 +1033,9 @@ class QueryBroker:
                     answers_for[(id(entry), server_name)] = values[start : start + n]
             # Attribute and advance: each query books its own share on its
             # own ledger, exactly as a standalone count_windows call would
-            # have.  The answer slices are fixed before the fan-out, and
-            # every advance touches only query-private state, so the pool's
-            # scheduling cannot influence any query's measurements.
-            self._settle(
-                active,
-                self.executor.map_settle(
-                    lambda entry: self._attribute_and_advance(entry, answers_for),
-                    active,
-                ),
+            # have.
+            self._advance_all(
+                active, lambda entry: self._attribute_and_advance(entry, answers_for)
             )
             active = [entry for entry in active if entry.pending is not None]
             round_index += 1

@@ -26,8 +26,8 @@ mutable containers become read-only views that raise on mutation
 (:func:`freeze_result`).  One caller mutating a hit can therefore never
 poison what the next caller is served.
 
-The cache is safe to share between the broker's pooled wave executor and
-any number of client threads: ``get``/``put``/``clear`` and the
+The cache is safe to share between the service admission thread and any
+number of client threads: ``get``/``put``/``clear`` and the
 hit/miss/eviction counters are guarded by one lock, and eviction is LRU --
 a hit refreshes an entry's recency (``OrderedDict.move_to_end``), so a hot
 result survives a long tail of one-shot queries.
@@ -250,8 +250,7 @@ class ResultCache:
     inserted (a single oversized result is cached alone rather than
     rejected).  ``None`` means unbounded on either axis; both bounds may be
     active at once.  All operations and counters are lock-guarded, so one
-    cache can back the pooled wave executor and concurrent service
-    submitters.
+    cache can back several brokers and concurrent service submitters.
     """
 
     def __init__(

@@ -24,7 +24,7 @@ from repro.core.base import AlgorithmParameters
 from repro.core.join_types import JoinSpec
 from repro.core.planner import PlanDecision
 from repro.core.result import JoinResult
-from repro.datasets.dataset import SpatialDataset
+from repro.datasets.dataset import SpatialDataset, default_join_window
 from repro.geometry.rect import Rect
 from repro.network.config import NetworkConfig
 from repro.network.faults import FaultPlan, RetryPolicy
@@ -142,7 +142,7 @@ class JoinQuery:
                 )
 
     def resolved_window(self) -> Rect:
-        """The joined region (defaults to the union MBR of both datasets).
+        """The joined region (defaults to :func:`default_join_window`).
 
         The default-window computation is memoised on the (frozen) query:
         planning, cache-key derivation and wave execution all consult it,
@@ -153,7 +153,7 @@ class JoinQuery:
             return self.window
         window = self.__dict__.get("_resolved_window_cache")
         if window is None:
-            window = self.dataset_r.bounds().union(self.dataset_s.bounds())
+            window = default_join_window(self.dataset_r, self.dataset_s)
             object.__setattr__(self, "_resolved_window_cache", window)
         return window
 

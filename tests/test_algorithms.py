@@ -7,10 +7,18 @@ return exactly the same pair set while respecting the device buffer.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.api import AdHocJoinSession, available_algorithms, quick_join
+from repro.api import (
+    AdHocJoinSession,
+    JoinQuery,
+    available_algorithms,
+    batch_join,
+    quick_join,
+)
 from repro.core.join_types import JoinSpec
+from repro.datasets.dataset import SpatialDataset
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
 from repro.geometry.rect import Rect
 
@@ -188,3 +196,48 @@ class TestSessionBehaviour:
         result = _session(r, s).run(algorithm="mobijoin", epsilon=0.02)
         assert result.total_cost == pytest.approx(float(result.total_bytes))
         assert result.total_bytes == result.bytes_r + result.bytes_s
+
+
+class TestEmptySides:
+    """An empty side with no ``window=`` joins over the other side's MBR
+    (or a fixed window when both are empty) and returns 0 pairs with the
+    same bytes as an explicit-window run."""
+
+    SIDES = ("R empty", "S empty", "both empty")
+
+    @staticmethod
+    def _pair(sides):
+        empty = SpatialDataset(np.empty((0, 4)), name="empty")
+        full = uniform(n=60, seed=31)
+        return {
+            "R empty": (empty, full),
+            "S empty": (full, empty),
+            "both empty": (empty, empty),
+        }[sides]
+
+    @pytest.mark.parametrize("sides", SIDES)
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_quick_join(self, algorithm, sides):
+        r, s = self._pair(sides)
+        result = quick_join(r, s, algorithm=algorithm, epsilon=0.03)
+        explicit = quick_join(
+            r, s, algorithm=algorithm, epsilon=0.03, window=Rect(0, 0, 1, 1)
+        )
+        assert result.pairs == set()
+        assert result.total_bytes == explicit.total_bytes
+
+    @pytest.mark.parametrize("sides", SIDES)
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    def test_batch_join(self, algorithm, sides):
+        r, s = self._pair(sides)
+        spec = JoinSpec.distance(0.03)
+        default, explicit = batch_join(
+            [
+                JoinQuery(r, s, spec, algorithm=algorithm),
+                JoinQuery(r, s, spec, algorithm=algorithm, window=Rect(0, 0, 1, 1)),
+            ]
+        )
+        assert default.status == "ok"
+        assert default.result.pairs == set()
+        assert default.result.total_bytes == explicit.result.total_bytes
+

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.dataset import SpatialDataset
+from repro.datasets.dataset import (
+    EMPTY_JOIN_WINDOW,
+    SpatialDataset,
+    default_join_window,
+)
 from repro.datasets.loader import load_dataset, save_dataset
 from repro.datasets.railway import generate_railway_like
 from repro.datasets.synthetic import clustered, gaussian_mixture, uniform
@@ -67,6 +71,27 @@ class TestSpatialDataset:
         ds = SpatialDataset.from_points(np.array([[0.1, 0.1]]))
         with pytest.raises(ValueError):
             ds.mbrs[0, 0] = 5.0
+
+    def test_nan_rows_rejected(self):
+        mbrs = np.array([[0.1, 0.1, 0.2, 0.2], [np.nan, 0.3, 0.4, 0.4]])
+        with pytest.raises(ValueError, match="finite"):
+            SpatialDataset(mbrs)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_inf_rows_rejected(self, value):
+        mbrs = np.array([[0.1, 0.1, 0.2, 0.2], [0.3, 0.3, 0.4, 0.4]])
+        mbrs[1, 2 if value > 0 else 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            SpatialDataset(mbrs)
+
+    def test_default_join_window_bounds_the_non_empty_sides(self):
+        r = SpatialDataset(np.array([[0.1, 0.2, 0.3, 0.4]]))
+        s = SpatialDataset(np.array([[0.5, 0.0, 0.6, 0.1]]))
+        empty = SpatialDataset(np.empty((0, 4)))
+        assert default_join_window(r, s) == Rect(0.1, 0.0, 0.6, 0.4)
+        assert default_join_window(r, empty) == r.bounds()
+        assert default_join_window(empty, s) == s.bounds()
+        assert default_join_window(empty, empty) == EMPTY_JOIN_WINDOW
 
 
 class TestSyntheticGenerators:

@@ -8,8 +8,7 @@ Three families of guarantees:
   does nothing.
 * **Read-only hooks** -- every algorithm, standalone and brokered,
   produces bit-identical results with tracing/metrics attached or not;
-  the same workload fingerprints identically across repeats and worker
-  counts.
+  the same workload fingerprints identically across repeats.
 * **Satellites** -- the broker's result-cache byte budget default, the
   LRU bound on cached server builds (and the breaker-state contract on
   eviction), the cache's metric counters, and the ``repro.obs.dump`` CLI.
@@ -343,12 +342,12 @@ class TestNoOpBitIdentity:
             _assert_identical(a.result, b.result)
         assert tracer.spans()
 
-    def test_fingerprint_stable_across_repeats_and_workers(self):
+    def test_fingerprint_stable_across_repeats(self):
         r, s = _datasets()
         spec = JoinSpec.distance(0.03)
         spec2 = JoinSpec.distance(0.05)
 
-        def run(workers):
+        def run():
             tracer = Tracer()
             queries = [
                 JoinQuery(r, s, spec, buffer_size=BUFFER),
@@ -356,11 +355,11 @@ class TestNoOpBitIdentity:
                 JoinQuery(r, s, spec2, buffer_size=BUFFER),
                 JoinQuery(r, s, spec, buffer_size=BUFFER),
             ]
-            QueryBroker(workers=workers, tracer=tracer).run_batch(queries)
+            QueryBroker(tracer=tracer).run_batch(queries)
             return tracer
 
-        base = run(0)
-        for tracer in (run(0), run(2), run(3)):
+        base = run()
+        for tracer in (run(), run()):
             assert tracer.fingerprint() == base.fingerprint()
             assert tracer.span_tree() == base.span_tree()
 
