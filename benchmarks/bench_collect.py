@@ -4,12 +4,9 @@
 the ``min_speedup`` threshold its own record states; this module exposes
 the same gate as a ``perf``-marked test so the perf lane
 (``pytest -m perf benchmarks/``) fails loudly when a recorded number
-drops below its floor.  The gate reads the records currently on disk.
-Note the collection order: this file sorts *before* the ``bench_*``
-records in the lane, so within one lane invocation it validates the
-records of the *previous* run; records refreshed later in the same
-invocation are gated on the next run (or immediately via
-``python benchmarks/collect.py --check``).
+drops below its floor.  The gate reads the records currently on disk;
+``benchmarks/conftest.py`` runs it after every other test of the session,
+so a lane invocation gates the records it has just written.
 """
 
 from __future__ import annotations

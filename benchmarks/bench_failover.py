@@ -1,14 +1,14 @@
 """Availability record of the replicated shard fleets.
 
-The PR 9 replication plane publishes every shard on R replica servers
-sharing one immutable dataset build; the connection routes each exchange
-through a replica router and fails lost exchanges over to sibling replicas
+The replication plane publishes every shard on R replica servers sharing
+one immutable dataset build; the connection tries the replicas
+healthy-first and fails lost exchanges over to sibling replicas
 mid-query.  This benchmark records two things in
 ``benchmarks/results/failover_availability.json``:
 
 * **Zero-fault overhead.**  Serving the same localized frontier-join batch
   at R=1 and R=2 with no faults, pair sets asserted bit-identical before
-  timing.  Replication only adds idle channels and router bookkeeping, so
+  timing.  Replication only adds idle channels and ranking bookkeeping, so
   the recorded ``min_speedup`` floor asserts the replicated run costs no
   more than ~1.11x the plain run (``speedup >= 0.90``).
 * **Availability under replica outages.**  At R in {2, 3}, killing k

@@ -34,6 +34,17 @@ def pytest_addoption(parser):
     )
 
 
+def pytest_collection_modifyitems(session, config, items):
+    """Run the summary regression gate last.
+
+    The gate (``bench_collect.py``) reads the records on disk, and its file
+    sorts before the ``bench_*`` modules that write them; moved to the end,
+    it checks the records this run produced rather than the previous run's.
+    """
+    gate = [item for item in items if item.name == "test_summary_regression_gate"]
+    items[:] = [item for item in items if item not in gate] + gate
+
+
 @pytest.fixture(scope="session")
 def full_figures(request) -> bool:
     return bool(request.config.getoption("--full-figures"))

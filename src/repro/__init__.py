@@ -8,13 +8,13 @@ This package reimplements, in pure Python + NumPy, the system described in
 The package is organised around the paper's architecture:
 
 ``repro.geometry``
-    Planar geometry primitives: points, rectangles (MBRs), segments,
-    regular grids and the predicates used by spatial joins.
+    Planar geometry primitives: points, rectangles (MBRs), regular grids
+    and the predicates used by spatial joins.
 
 ``repro.index``
-    Spatial index substrates: an R-tree (insertion + STR bulk loading), an
-    aggregate R-tree (fast COUNT / aggregate window queries), a regular
-    grid index and the in-memory join kernels (plane sweep, grid hash).
+    Spatial index substrates: an R-tree (STR bulk loading), an aggregate
+    R-tree (fast COUNT / aggregate window queries) and the in-memory join
+    kernels (plane sweep, grid hash).
 
 ``repro.network``
     The wireless transfer-cost substrate: packetisation (Eq. 1 of the

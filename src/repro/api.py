@@ -40,7 +40,6 @@ from repro.network.config import NetworkConfig
 from repro.network.faults import FaultPlan, RetryPolicy
 from repro.datasets.partition import PARTITION_SCHEMES, partition_dataset
 from repro.obs import MetricsRegistry, Tracer
-from repro.server.remote import ROUTER_POLICIES
 from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
 from repro.service.broker import DEFAULT_CACHE_MAX_BYTES, QueryBroker
@@ -64,7 +63,6 @@ __all__ = [
     "RetryExhausted",
     "RetryPolicy",
     "ServerUnavailable",
-    "ROUTER_POLICIES",
     "ServiceClosed",
     "ShardedSpatialServer",
     "Tracer",
@@ -108,7 +106,6 @@ def quick_join(
     shards_s: int = 1,
     shard_scheme: str = "grid",
     replicas: int = 1,
-    router: Optional[str] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> JoinResult:
@@ -159,15 +156,14 @@ def quick_join(
         metered channel (and fault substream) per shard.  Join pairs are
         bit-identical to the unsharded run; byte totals reflect the
         scatter.  SemiJoin requires unsharded servers.
-    replicas, router:
-        Replication factor per shard and replica-routing policy.  A factor
-        > 1 publishes every shard on R replica servers sharing one index
-        build, each with its own channel and fault substream; a lost
-        exchange fails over to a sibling replica mid-query, and the
+    replicas:
+        Replication factor per shard.  A factor > 1 publishes every shard
+        on R replica servers sharing one index build, each with its own
+        channel and fault substream.  Replicas are tried healthy-first; a
+        lost exchange fails over to a sibling replica mid-query, and the
         primary metering lane stays bit-identical to the unreplicated
-        fault-free run under any recoverable plan.  ``router`` names a
-        :data:`~repro.server.remote.ROUTER_POLICIES` entry (``None`` ->
-        healthy-first).  SemiJoin requires unreplicated servers.
+        fault-free run under any recoverable plan.  SemiJoin requires
+        unreplicated servers.
     tracer, metrics:
         Optional observability hooks (see :mod:`repro.obs`): a
         :class:`Tracer` records a deterministic span tree of the run, a
@@ -194,7 +190,6 @@ def quick_join(
         shards_s=shards_s,
         shard_scheme=shard_scheme,
         replicas=replicas,
-        router=router,
         tracer=tracer,
         metrics=metrics,
     )
@@ -290,7 +285,6 @@ class AdHocJoinSession:
         shards_s: int = 1,
         shard_scheme: str = "grid",
         replicas: int = 1,
-        router: Optional[str] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -309,9 +303,9 @@ class AdHocJoinSession:
         fault-free run (retry traffic is ledgered on a separate lane).
 
         ``shards_r``/``shards_s``/``shard_scheme`` publish a side as a
-        partitioned shard fleet, and ``replicas``/``router`` publish each
-        shard on R failover replicas (see :func:`quick_join`); both are
-        ignored when ``servers`` injects pre-built instances.
+        partitioned shard fleet, and ``replicas`` publishes each shard on
+        R failover replicas (see :func:`quick_join`); both are ignored
+        when ``servers`` injects pre-built instances.
 
         ``tracer``/``metrics`` attach the read-only observability hooks
         (see :mod:`repro.obs`) for every run on this session.
@@ -335,7 +329,6 @@ class AdHocJoinSession:
             shards_s=shards_s,
             shard_scheme=shard_scheme,
             replicas=replicas,
-            router=router,
             tracer=tracer,
             metrics=metrics,
         )

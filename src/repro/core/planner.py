@@ -132,7 +132,6 @@ def build_session_stack(
     shards_s: int = 1,
     shard_scheme: str = "grid",
     replicas: int = 1,
-    router: Optional[str] = None,
     tracer=None,
     metrics=None,
 ) -> Tuple[SpatialServer, SpatialServer, MobileDevice]:
@@ -153,11 +152,9 @@ def build_session_stack(
 
     ``replicas`` (> 1) publishes each shard on R replica servers sharing
     one index build, each with its own channel and fault substream; the
-    connection routes every exchange through the ``router`` policy (a
-    :data:`~repro.server.remote.ROUTER_POLICIES` name, default
-    healthy-first) and fails over to a sibling replica on retry
-    exhaustion.  Replication applies to both sides and requires sharded-
-    capable algorithms (i.e. not SemiJoin).
+    connection tries the replicas healthy-first and fails over to a
+    sibling replica on retry exhaustion.  Replication applies to both
+    sides and requires sharded-capable algorithms (i.e. not SemiJoin).
 
     ``faults``/``retry``/``deadline_s`` attach a per-session
     :class:`~repro.server.remote.ResilienceController` (a seeded
@@ -204,7 +201,6 @@ def build_session_stack(
         config=config,
         indexed=indexed,
         resilience=resilience,
-        router=router,
         observer=observer,
     )
     device = MobileDevice(pair, buffer_size=buffer_size, tracer=tracer)
@@ -268,7 +264,6 @@ def run_join(
     shards_s: int = 1,
     shard_scheme: str = "grid",
     replicas: int = 1,
-    router: Optional[str] = None,
     tracer=None,
     metrics=None,
     **algorithm_kwargs: object,
@@ -298,10 +293,9 @@ def run_join(
     shards_r, shards_s, shard_scheme:
         Shard counts per side (> 1 publishes the side as a partitioned
         server fleet) and the partitioning scheme.
-    replicas, router:
+    replicas:
         Replication factor per shard (> 1 publishes every shard on R
-        replica servers with mid-query failover) and the replica-routing
-        policy name (default healthy-first).
+        replica servers, tried healthy-first, with mid-query failover).
     tracer, metrics:
         Optional observability hooks (see :mod:`repro.obs`); strictly
         read-only, the result is bit-identical with or without them.
@@ -321,7 +315,6 @@ def run_join(
         shards_s=shards_s,
         shard_scheme=shard_scheme,
         replicas=replicas,
-        router=router,
         tracer=tracer,
         metrics=metrics,
     )

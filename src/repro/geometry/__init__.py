@@ -5,22 +5,17 @@ The spatial objects handled by the paper are points and small rectangles
 
 * :class:`~repro.geometry.point.Point` -- an immutable 2D point.
 * :class:`~repro.geometry.rect.Rect` -- an axis-aligned rectangle / MBR.
-* :class:`~repro.geometry.segment.Segment` -- a line segment (used by the
-  railway-like dataset generator).
 * :class:`~repro.geometry.grid.RegularGrid` -- the regular k x k grid
   decomposition used by all partition-based join strategies.
 * vectorised array operations over ``(N, 4)`` MBR arrays in
   :mod:`repro.geometry.rect_array`.
-* join predicates (:mod:`repro.geometry.predicates`) and the
-  reference-point duplicate-avoidance rule
-  (:mod:`repro.geometry.refpoint`).
+* join predicates (:mod:`repro.geometry.predicates`).
 """
 
 from __future__ import annotations
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect, UNIT_RECT
-from repro.geometry.segment import Segment
 from repro.geometry.grid import RegularGrid, quadrants
 from repro.geometry.predicates import (
     JoinPredicate,
@@ -28,21 +23,17 @@ from repro.geometry.predicates import (
     WithinDistancePredicate,
     predicate_for,
 )
-from repro.geometry.refpoint import reference_point, pair_reference_point
 from repro.geometry import rect_array
 
 __all__ = [
     "Point",
     "Rect",
     "UNIT_RECT",
-    "Segment",
     "RegularGrid",
     "quadrants",
     "JoinPredicate",
     "IntersectionPredicate",
     "WithinDistancePredicate",
     "predicate_for",
-    "reference_point",
-    "pair_reference_point",
     "rect_array",
 ]

@@ -11,13 +11,11 @@ node MBRs can be shipped between servers.
 Contents
 --------
 
-* :class:`~repro.index.rtree.RTree` -- a classical R-tree with quadratic
-  node split and STR bulk loading.
+* :class:`~repro.index.rtree.RTree` -- a classical R-tree built by STR
+  bulk loading.
 * :class:`~repro.index.aggregate_rtree.AggregateRTree` -- an aR-tree-style
   index whose internal nodes carry object counts, giving COUNT queries
   that touch only partially-covered subtrees.
-* :class:`~repro.index.grid_index.GridIndex` -- a regular-grid bucket
-  index (used for the in-memory PBSM-style hash join).
 * In-memory join kernels: :func:`~repro.index.plane_sweep.plane_sweep_join`
   and :func:`~repro.index.hash_join.grid_hash_join`.
 """
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 from repro.index.rtree import RTree, RTreeNode, RTreeStats
 from repro.index.aggregate_rtree import AggregateRTree
-from repro.index.grid_index import GridIndex
 from repro.index.plane_sweep import plane_sweep_join, plane_sweep_pairs
 from repro.index.hash_join import grid_hash_join
 
@@ -35,7 +32,6 @@ __all__ = [
     "RTreeNode",
     "RTreeStats",
     "AggregateRTree",
-    "GridIndex",
     "plane_sweep_join",
     "plane_sweep_pairs",
     "grid_hash_join",

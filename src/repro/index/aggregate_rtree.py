@@ -150,10 +150,6 @@ class AggregateRTree:
         """Object ids intersecting the window (delegates to the R-tree)."""
         return self._tree.window_query(window)
 
-    def window_query_batch(self, windows: Sequence[Rect]) -> List[np.ndarray]:
-        """Batched window queries (delegates to the R-tree descent)."""
-        return self._tree.window_query_batch(windows)
-
     def window_query_batch_flat(
         self, windows: Sequence[Rect]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -163,12 +159,6 @@ class AggregateRTree:
     def range_query(self, center: Point, epsilon: float) -> List[int]:
         """Object ids within ``epsilon`` of ``center`` (delegates to the R-tree)."""
         return self._tree.range_query(center, epsilon)
-
-    def range_query_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> List[np.ndarray]:
-        """Batched range queries (delegates to the R-tree descent)."""
-        return self._tree.range_query_batch(centers, radii)
 
     def range_query_batch_flat(
         self, centers: Sequence[Point], radii: Sequence[float]

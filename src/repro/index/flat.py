@@ -135,11 +135,6 @@ class FlatRTree:
                 np.add.at(out, part_qids[row[hit]], 1)
         return out
 
-    def window_batch(self, wins: np.ndarray) -> List[np.ndarray]:
-        """Qualifying oids for every window of a ``(W, 4)`` array."""
-        bounds, oids = self.window_batch_flat(wins)
-        return [oids[bounds[i] : bounds[i + 1]] for i in range(wins.shape[0])]
-
     def window_batch_flat(self, wins: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Qualifying oids for a window batch, in CSR (offset-array) form.
 
@@ -169,11 +164,6 @@ class FlatRTree:
                 q_chunks.append(part_qids[row[hit]])
                 e_chunks.append(ent[hit])
         return self._flatten_by_query(q_chunks, e_chunks, W)
-
-    def range_batch(self, pts: np.ndarray, radii: np.ndarray) -> List[np.ndarray]:
-        """Qualifying oids for every probe of ``(P, 2)`` centres / radii."""
-        bounds, oids = self.range_batch_flat(pts, radii)
-        return [oids[bounds[i] : bounds[i + 1]] for i in range(pts.shape[0])]
 
     def range_batch_flat(
         self, pts: np.ndarray, radii: np.ndarray

@@ -1,11 +1,9 @@
 """A classical R-tree.
 
 This is the index substrate backing the spatial servers and the SemiJoin
-comparator.  Two construction paths are provided:
-
-* one-by-one insertion with Guttman's *quadratic split* heuristic, and
-* *Sort-Tile-Recursive* (STR) bulk loading, which produces well-packed
-  trees and is what the servers use when a dataset is loaded wholesale.
+comparator.  Trees are built by *Sort-Tile-Recursive* (STR) bulk loading,
+from an entry list or straight from an ``(N, 4)`` MBR array; STR produces
+well-packed trees, and the servers load every dataset wholesale.
 
 The tree stores ``(mbr, oid)`` entries at the leaves.  Queries return
 object ids; callers resolve ids against their dataset container.  The
@@ -34,7 +32,7 @@ class RTreeNode:
 
     Leaf nodes store ``entries`` as ``(Rect, oid)`` tuples; internal nodes
     store ``children`` (other nodes).  ``mbr`` is always the tight bound of
-    the node's content and is maintained incrementally.
+    the node's content.
 
     A leaf holds its content in one of two equivalent forms: the ``entries``
     list of ``(Rect, oid)`` tuples, or the ``(mbrs, oids)`` array pair in
@@ -61,9 +59,9 @@ class RTreeNode:
             entries if entries is not None else []
         )
         #: Lazily built ``(mbrs, oids)`` arrays of a leaf's entries, used by
-        #: the vectorised query paths; invalidated whenever ``entries``
-        #: mutates.  For array-bulk-loaded leaves this is the authoritative
-        #: storage and ``_entries`` is None until first requested.
+        #: the vectorised query paths.  For array-bulk-loaded leaves this is
+        #: the authoritative storage and ``_entries`` is None until first
+        #: requested.
         self._leaf_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
@@ -87,11 +85,6 @@ class RTreeNode:
             ]
         return self._entries
 
-    @entries.setter
-    def entries(self, value: List[Tuple[Rect, int]]) -> None:
-        self._entries = list(value)
-        self._leaf_cache = None
-
     def num_entries(self) -> int:
         """Leaf entry count without materialising the tuple list."""
         if self._entries is not None:
@@ -99,10 +92,6 @@ class RTreeNode:
         if self._leaf_cache is not None:
             return int(self._leaf_cache[1].shape[0])
         return 0
-
-    def fanout(self) -> int:
-        """Number of entries (leaf) or children (internal)."""
-        return self.num_entries() if self.is_leaf else len(self.children)
 
     def leaf_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The leaf's entries as parallel ``(N, 4)`` MBR / oid arrays."""
@@ -119,13 +108,6 @@ class RTreeNode:
             self._leaf_cache = (mbrs, oids)
         return self._leaf_cache
 
-    def invalidate_leaf_cache(self) -> None:
-        if self._entries is None and self._leaf_cache is not None:
-            # Array-backed leaf: materialise before dropping the arrays so
-            # the content survives the invalidation.
-            _ = self.entries
-        self._leaf_cache = None
-
     def recompute_mbr(self) -> None:
         """Recompute the node MBR from its content."""
         if self.is_leaf:
@@ -139,12 +121,6 @@ class RTreeNode:
         else:
             rects = [c.mbr for c in self.children if c.mbr is not None]
         self.mbr = Rect.bounding(rects) if rects else None
-
-    def subtree_object_count(self) -> int:
-        """Number of leaf entries in the subtree (O(nodes), used by stats/tests)."""
-        if self.is_leaf:
-            return self.num_entries()
-        return sum(child.subtree_object_count() for child in self.children)
 
 
 @dataclass(frozen=True)
@@ -165,26 +141,16 @@ class RTree:
     Parameters
     ----------
     max_entries:
-        Maximum node fanout ``M``.  Nodes exceeding it are split.
-    min_entries:
-        Minimum fanout ``m`` used by the quadratic split (defaults to
-        ``ceil(0.4 * M)``, the usual 40% rule).
+        Maximum node fanout ``M``: STR packs every node to at most ``M``.
     """
 
-    def __init__(self, max_entries: int = 16, min_entries: Optional[int] = None) -> None:
+    def __init__(self, max_entries: int = 16) -> None:
         if max_entries < 4:
             raise ValueError("max_entries must be >= 4")
         self.max_entries = max_entries
-        self.min_entries = (
-            min_entries if min_entries is not None else max(2, math.ceil(0.4 * max_entries))
-        )
-        if not 2 <= self.min_entries <= self.max_entries // 2:
-            raise ValueError(
-                f"min_entries must lie in [2, max_entries/2], got {self.min_entries}"
-            )
         self.root = RTreeNode(is_leaf=True, level=0)
         self._size = 0
-        #: Cached flattened snapshot for batch queries; dropped on mutation.
+        #: Flattened snapshot for batch queries, built on first use.
         self._flat = None
 
     # ------------------------------------------------------------------ #
@@ -199,25 +165,14 @@ class RTree:
         """Number of levels (a tree holding only a root leaf has height 1)."""
         return self.root.level + 1
 
-    def insert(self, mbr: Rect, oid: int) -> None:
-        """Insert a single ``(mbr, oid)`` entry (Guttman insertion)."""
-        self._flat = None
-        leaf = self._choose_leaf(self.root, mbr)
-        leaf.entries.append((mbr, oid))
-        leaf.invalidate_leaf_cache()
-        leaf.mbr = mbr if leaf.mbr is None else leaf.mbr.union(mbr)
-        self._size += 1
-        self._handle_overflow(leaf)
-
     @classmethod
     def bulk_load(
         cls,
         entries: Sequence[Tuple[Rect, int]],
         max_entries: int = 16,
-        min_entries: Optional[int] = None,
     ) -> "RTree":
         """Build a packed tree with the Sort-Tile-Recursive algorithm."""
-        tree = cls(max_entries=max_entries, min_entries=min_entries)
+        tree = cls(max_entries=max_entries)
         if not entries:
             return tree
         leaves: List[RTreeNode] = []
@@ -235,7 +190,6 @@ class RTree:
         mbrs: np.ndarray,
         oids: Optional[Sequence[int]] = None,
         max_entries: int = 16,
-        min_entries: Optional[int] = None,
     ) -> "RTree":
         """Bulk load from an ``(N, 4)`` MBR array (oids default to ``range(N)``).
 
@@ -248,7 +202,7 @@ class RTree:
         """
         arr = np.ascontiguousarray(np.asarray(mbrs, dtype=np.float64))
         n = arr.shape[0]
-        tree = cls(max_entries=max_entries, min_entries=min_entries)
+        tree = cls(max_entries=max_entries)
         if n == 0:
             return tree
         if oids is None:
@@ -296,7 +250,7 @@ class RTree:
     def flat_view(self) -> "FlatRTree":
         """The flattened array snapshot of this tree (built lazily).
 
-        The snapshot is cached and rebuilt after mutations; all batch
+        The snapshot is cached (a loaded tree never changes); all batch
         queries execute against it.
         """
         if self._flat is None:
@@ -305,26 +259,15 @@ class RTree:
             self._flat = FlatRTree(self)
         return self._flat
 
-    def window_query_batch(self, windows: Sequence[Rect]) -> List[np.ndarray]:
-        """Answer many window queries in one vectorised frontier traversal.
-
-        Returns one ``int64`` oid array per window.  Each array holds the
-        same oid set a scalar :meth:`window_query` would produce; the order
-        within an array is a traversal detail.
-        """
-        wins = rect_array.rects_to_array(list(windows))
-        return self.flat_view().window_batch(wins)
-
     def window_query_batch_flat(
         self, windows: Sequence[Rect]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched window queries in CSR form: ``(bounds, oids)``.
 
-        Window ``i``'s oids are ``oids[bounds[i]:bounds[i+1]]`` -- the same
-        arrays :meth:`window_query_batch` would slice into per-window
-        lists.  Consumers that concatenate per-window payloads anyway (the
-        servers' flat window endpoint, the SemiJoin relay) read this form
-        directly and skip the per-window materialisation.
+        Window ``i``'s oids are ``oids[bounds[i]:bounds[i+1]]``, the same
+        oid set a scalar :meth:`window_query` would produce (the order
+        within a window is a traversal detail).  Consumers read this form
+        directly and skip a per-window materialisation.
         """
         wins = rect_array.rects_to_array(list(windows))
         return self.flat_view().window_batch_flat(wins)
@@ -334,25 +277,13 @@ class RTree:
         wins = rect_array.rects_to_array(list(windows))
         return [int(c) for c in self.flat_view().count_batch(wins)]
 
-    def range_query_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> List[np.ndarray]:
-        """Answer many range queries in one vectorised frontier traversal."""
-        if len(centers) != len(radii):
-            raise ValueError("radii must be parallel to centers")
-        if any(r < 0 for r in radii):
-            raise ValueError("epsilon must be non-negative")
-        pts = np.array([(p.x, p.y) for p in centers], dtype=np.float64).reshape(-1, 2)
-        rads = np.asarray(radii, dtype=np.float64)
-        return self.flat_view().range_batch(pts, rads)
-
     def range_query_batch_flat(
         self, centers: Sequence[Point], radii: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched range queries in CSR form: ``(bounds, oids)``.
 
-        Probe ``i``'s oids are ``oids[bounds[i]:bounds[i+1]]`` -- the same
-        arrays :meth:`range_query_batch` would slice into per-probe lists.
+        Probe ``i``'s oids are ``oids[bounds[i]:bounds[i+1]]``, the same
+        oid set a scalar :meth:`range_query` would produce.
         """
         if len(centers) != len(radii):
             raise ValueError("radii must be parallel to centers")
@@ -361,47 +292,6 @@ class RTree:
         pts = np.array([(p.x, p.y) for p in centers], dtype=np.float64).reshape(-1, 2)
         rads = np.asarray(radii, dtype=np.float64)
         return self.flat_view().range_batch_flat(pts, rads)
-
-    def nearest_neighbors(self, center: Point, k: int = 1) -> List[Tuple[float, int]]:
-        """The ``k`` nearest objects to ``center`` as ``(distance, oid)`` pairs.
-
-        Implemented with the classic best-first (priority queue) traversal.
-        Not used by the paper's algorithms but handy for applications built
-        on the library (and exercised by the examples).
-        """
-        import heapq
-
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if self._size == 0:
-            return []
-        heap: List[Tuple[float, int, object]] = []
-        counter = 0
-        if self.root.mbr is not None:
-            heapq.heappush(heap, (0.0, counter, self.root))
-        results: List[Tuple[float, int]] = []
-        while heap and len(results) < k:
-            dist, _, item = heapq.heappop(heap)
-            if isinstance(item, RTreeNode):
-                if item.is_leaf:
-                    for mbr, oid in item.entries:
-                        counter += 1
-                        heapq.heappush(
-                            heap, (mbr.min_distance_to_point(center), counter, ("obj", oid))
-                        )
-                else:
-                    for child in item.children:
-                        if child.mbr is None:
-                            continue
-                        counter += 1
-                        heapq.heappush(
-                            heap,
-                            (child.mbr.min_distance_to_point(center), counter, child),
-                        )
-            else:
-                _, oid = item  # ("obj", oid)
-                results.append((dist, oid))
-        return results
 
     # ------------------------------------------------------------------ #
     # structure inspection (SemiJoin & diagnostics)
@@ -478,118 +368,6 @@ class RTree:
         assert total == self._size, f"size mismatch: counted {total}, recorded {self._size}"
 
     # ------------------------------------------------------------------ #
-    # internal: insertion machinery
-    # ------------------------------------------------------------------ #
-
-    def _choose_leaf(self, node: RTreeNode, mbr: Rect) -> RTreeNode:
-        while not node.is_leaf:
-            best_child = None
-            best_key: Tuple[float, float] = (math.inf, math.inf)
-            for child in node.children:
-                assert child.mbr is not None
-                key = (child.mbr.enlargement(mbr), child.mbr.area)
-                if key < best_key:
-                    best_key = key
-                    best_child = child
-            assert best_child is not None
-            best_child.mbr = mbr if best_child.mbr is None else best_child.mbr.union(mbr)
-            node = best_child
-        return node
-
-    def _handle_overflow(self, node: RTreeNode) -> None:
-        path = self._find_path_to(node)
-        # Walk from the leaf upwards splitting overflowing nodes.
-        for depth in range(len(path) - 1, -1, -1):
-            current = path[depth]
-            if current.fanout() <= self.max_entries:
-                current.recompute_mbr()
-                continue
-            sibling = self._split_node(current)
-            if depth == 0:
-                # Root split: grow the tree by one level.
-                new_root = RTreeNode(
-                    is_leaf=False, level=current.level + 1, children=[current, sibling]
-                )
-                new_root.recompute_mbr()
-                self.root = new_root
-            else:
-                parent = path[depth - 1]
-                parent.children.append(sibling)
-                parent.recompute_mbr()
-        # Refresh MBRs up the path (cheap: path length = height).
-        for current in reversed(path):
-            current.recompute_mbr()
-
-    def _find_path_to(self, target: RTreeNode) -> List[RTreeNode]:
-        """Root-to-target node path (target must be reachable)."""
-        path: List[RTreeNode] = []
-
-        def descend(node: RTreeNode) -> bool:
-            path.append(node)
-            if node is target:
-                return True
-            if not node.is_leaf:
-                for child in node.children:
-                    if child.mbr is None:
-                        continue
-                    if descend(child):
-                        return True
-            path.pop()
-            return False
-
-        found = descend(self.root)
-        assert found, "node not reachable from root"
-        return path
-
-    def _split_node(self, node: RTreeNode) -> RTreeNode:
-        """Quadratic split; ``node`` keeps one group, the returned sibling gets the other."""
-        if node.is_leaf:
-            items: List[Tuple[Rect, object]] = list(node.entries)
-        else:
-            items = [(c.mbr, c) for c in node.children if c.mbr is not None]
-
-        seed_a, seed_b = _quadratic_pick_seeds([r for r, _ in items])
-        group_a: List[Tuple[Rect, object]] = [items[seed_a]]
-        group_b: List[Tuple[Rect, object]] = [items[seed_b]]
-        mbr_a = items[seed_a][0]
-        mbr_b = items[seed_b][0]
-        remaining = [it for i, it in enumerate(items) if i not in (seed_a, seed_b)]
-
-        while remaining:
-            # If one group must take all remaining items to reach min_entries, do it.
-            if len(group_a) + len(remaining) == self.min_entries:
-                group_a.extend(remaining)
-                mbr_a = Rect.bounding([mbr_a] + [r for r, _ in remaining])
-                remaining = []
-                break
-            if len(group_b) + len(remaining) == self.min_entries:
-                group_b.extend(remaining)
-                mbr_b = Rect.bounding([mbr_b] + [r for r, _ in remaining])
-                remaining = []
-                break
-            idx, prefer_a = _quadratic_pick_next(remaining, mbr_a, mbr_b)
-            rect, payload = remaining.pop(idx)
-            if prefer_a:
-                group_a.append((rect, payload))
-                mbr_a = mbr_a.union(rect)
-            else:
-                group_b.append((rect, payload))
-                mbr_b = mbr_b.union(rect)
-
-        sibling = RTreeNode(is_leaf=node.is_leaf, level=node.level)
-        if node.is_leaf:
-            node.entries = [(r, p) for r, p in group_a]  # type: ignore[misc]
-            sibling.entries = [(r, p) for r, p in group_b]  # type: ignore[misc]
-            node.invalidate_leaf_cache()
-            sibling.invalidate_leaf_cache()
-        else:
-            node.children = [p for _, p in group_a]  # type: ignore[misc]
-            sibling.children = [p for _, p in group_b]  # type: ignore[misc]
-        node.recompute_mbr()
-        sibling.recompute_mbr()
-        return sibling
-
-    # ------------------------------------------------------------------ #
     # internal: bulk loading
     # ------------------------------------------------------------------ #
 
@@ -664,39 +442,8 @@ class RTree:
 
 
 # ---------------------------------------------------------------------- #
-# helpers shared by split / bulk load
+# bulk-load helpers
 # ---------------------------------------------------------------------- #
-
-
-def _quadratic_pick_seeds(rects: Sequence[Rect]) -> Tuple[int, int]:
-    """Guttman's PickSeeds: the pair wasting the most area when grouped."""
-    best = (0, 1)
-    worst_waste = -math.inf
-    for i in range(len(rects)):
-        for j in range(i + 1, len(rects)):
-            waste = rects[i].union(rects[j]).area - rects[i].area - rects[j].area
-            if waste > worst_waste:
-                worst_waste = waste
-                best = (i, j)
-    return best
-
-
-def _quadratic_pick_next(
-    remaining: Sequence[Tuple[Rect, object]], mbr_a: Rect, mbr_b: Rect
-) -> Tuple[int, bool]:
-    """Guttman's PickNext: the entry with maximal preference for one group."""
-    best_idx = 0
-    best_diff = -1.0
-    prefer_a = True
-    for i, (rect, _) in enumerate(remaining):
-        da = mbr_a.enlargement(rect)
-        db = mbr_b.enlargement(rect)
-        diff = abs(da - db)
-        if diff > best_diff:
-            best_diff = diff
-            best_idx = i
-            prefer_a = da < db or (da == db and mbr_a.area <= mbr_b.area)
-    return best_idx, prefer_a
 
 
 def _str_tiles(

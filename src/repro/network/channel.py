@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.network.config import NetworkConfig
 from repro.network.messages import Message, MessageKind
@@ -55,6 +55,21 @@ class TrafficRecord:
     wire_bytes: int
     packets: int
     label: str = ""
+
+
+def fingerprint_records(records: Iterable[TrafficRecord]) -> Tuple[Tuple, ...]:
+    """The hashable per-record digest of a ledger: one tuple per record."""
+    return tuple(
+        (
+            rec.direction,
+            rec.kind.value,
+            rec.payload_bytes,
+            rec.wire_bytes,
+            rec.packets,
+            rec.label,
+        )
+        for rec in records
+    )
 
 
 @dataclass
@@ -88,17 +103,7 @@ class TrafficLog:
         standalone reference run (cross-query coalescing may share the
         physical evaluation, never the attributed ledger).
         """
-        return tuple(
-            (
-                rec.direction,
-                rec.kind.value,
-                rec.payload_bytes,
-                rec.wire_bytes,
-                rec.packets,
-                rec.label,
-            )
-            for rec in self.records
-        )
+        return fingerprint_records(self.records)
 
     def clear(self) -> None:
         self.records.clear()
@@ -122,6 +127,16 @@ class Channel:
         lane, direction, wire, packets, messages)`` method (see
         :class:`repro.obs.metrics.ChannelMetricsObserver`).
     """
+
+    #: The counters :meth:`ledger_fingerprint` carries, in its order.
+    LEDGER_COUNTERS = (
+        "uplink_bytes",
+        "downlink_bytes",
+        "uplink_packets",
+        "downlink_packets",
+        "messages_up",
+        "messages_down",
+    )
 
     def __init__(
         self,
@@ -287,12 +302,7 @@ class Channel:
         """
         return (
             self.name,
-            self.uplink_bytes,
-            self.downlink_bytes,
-            self.uplink_packets,
-            self.downlink_packets,
-            self.messages_up,
-            self.messages_down,
+            *[getattr(self, key) for key in self.LEDGER_COUNTERS],
             self.log.fingerprint(),
         )
 

@@ -10,9 +10,10 @@ Two layers:
 * :class:`~repro.server.server.SpatialServer` -- the server proper,
   answering queries from its aggregate R-tree;
 * :class:`~repro.server.remote.RemoteServer` -- the client-side proxy that
-  the mobile device holds.  Every call is metered through a
-  :class:`~repro.network.channel.Channel`, so the measured byte totals are
-  produced here, not inside the algorithms.
+  the mobile device holds, in front of one server or one shard's replica
+  set.  Every call is metered through a
+  :class:`~repro.network.channel.Channel` (one per replica), so the
+  measured byte totals are produced here, not inside the algorithms.
 * :class:`~repro.server.remote.IndexedRemoteServer` -- the privileged proxy
   used only by the SemiJoin comparator, exposing R-tree level MBRs (the
   paper assumes the servers publish them for that algorithm only).

@@ -1,17 +1,21 @@
 """The abstract server interface: the only contract clients can rely on.
 
 The paper assumes "services allow only a limited set of queries through a
-standard interface"; this module is that interface.  Both the in-process
+standard interface"; this module is that interface.  The in-process
 :class:`~repro.server.server.SpatialServer` and the metered
-:class:`~repro.server.remote.RemoteServer` proxy implement it, so join
-algorithms can be unit-tested against a local server and then run unchanged
-against the metered proxies.
+:class:`~repro.server.remote.RemoteServer` and
+:class:`~repro.server.remote.ShardedRemoteServer` proxies implement it, so
+join algorithms can be unit-tested against a local server and then run
+unchanged against the metered proxies.  Implementations answer the scalar
+queries and the flat (CSR) batch forms; the per-query list forms
+:meth:`~SpatialServerInterface.window_batch` and
+:meth:`~SpatialServerInterface.range_batch` are derived here, once.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +49,7 @@ class SpatialServerInterface(ABC):
 
         The paper notes that when a server lacks a native range query it can
         be simulated by a window query with side ``2 * epsilon``; servers in
-        this reproduction implement the exact circular semantics, and the
-        simulation fallback is available via :meth:`range_as_window`.
+        this reproduction implement the exact circular semantics.
         """
 
     # ------------------------------------------------------------------ #
@@ -80,39 +83,62 @@ class SpatialServerInterface(ABC):
     # ------------------------------------------------------------------ #
     #
     # The physical operators ship query batches so implementations can
-    # amortise evaluation over one index descent.  The defaults below fall
-    # back to a loop of scalar queries -- semantically (and, for metered
-    # implementations, byte-wise) the batch forms are always equivalent to
-    # that loop, which is the invariant ``tests/test_batch_queries.py``
-    # pins for the built-in servers.
+    # amortise evaluation over one index descent.  Semantically (and, for
+    # metered implementations, byte-wise) every batch form is equivalent to
+    # a loop of scalar queries -- the invariant ``tests/test_batch_queries.py``
+    # pins for the built-in servers.  Each implementation answers the flat
+    # (CSR) forms; the per-query list forms are slices of them, written once
+    # here.
+
+    @abstractmethod
+    def window_batch_flat(
+        self, windows: Sequence[Rect]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Answer many WINDOW queries in CSR form: ``(mbrs, oids, bounds)``.
+
+        All payloads are concatenated in window order; window ``i`` owns
+        rows ``bounds[i]:bounds[i+1]`` (``len(bounds) == W + 1``).
+        """
+
+    @abstractmethod
+    def count_batch(self, windows: Sequence[Rect]) -> List[int]:
+        """Answer many COUNT queries, in window order."""
+
+    @abstractmethod
+    def range_batch_flat(
+        self, centers: Sequence[Point], radii: Sequence[float]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Answer many epsilon-RANGE probes in CSR form: ``(mbrs, oids, bounds)``.
+
+        Probe ``i`` (radius ``radii[i]``) owns rows ``bounds[i]:bounds[i+1]``.
+        Unlike :meth:`bucket_range` this is not the bucket protocol: every
+        probe is its own query.
+        """
 
     def window_batch(
         self, windows: Sequence[Rect]
-    ) -> "list[Tuple[np.ndarray, np.ndarray]]":
-        """Answer many WINDOW queries (default: a loop of :meth:`window`)."""
-        return [self.window(w) for w in windows]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Answer many WINDOW queries: one ``(mbrs, oids)`` pair per window.
 
-    def count_batch(self, windows: Sequence[Rect]) -> "list[int]":
-        """Answer many COUNT queries (default: a loop of :meth:`count`)."""
-        return [self.count(w) for w in windows]
+        The payloads are slices of :meth:`window_batch_flat`.
+        """
+        return _csr_rows(*self.window_batch_flat(windows))
 
     def range_batch(
         self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> "list[Tuple[np.ndarray, np.ndarray]]":
-        """Answer many epsilon-RANGE queries (default: a loop of :meth:`range`)."""
-        return [self.range(c, float(r)) for c, r in zip(centers, radii)]
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Answer many epsilon-RANGE probes: one ``(mbrs, oids)`` pair per probe.
 
-    # ------------------------------------------------------------------ #
-    # conveniences shared by every implementation
-    # ------------------------------------------------------------------ #
+        The payloads are slices of :meth:`range_batch_flat`.
+        """
+        return _csr_rows(*self.range_batch_flat(centers, radii))
 
-    def range_as_window(self, center: Point, epsilon: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Simulate an epsilon-RANGE query with a ``2 epsilon`` window query."""
-        probe = Rect(
-            center.x - epsilon, center.y - epsilon, center.x + epsilon, center.y + epsilon
-        )
-        return self.window(probe)
 
-    def is_empty(self, window: Rect) -> bool:
-        """True when no object intersects ``window`` (one COUNT query)."""
-        return self.count(window) == 0
+def _csr_rows(
+    mbrs: np.ndarray, oids: np.ndarray, bounds: np.ndarray
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Split a CSR answer into its per-query ``(mbrs, oids)`` row slices."""
+    return [
+        (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
+        for i in range(len(bounds) - 1)
+    ]

@@ -15,7 +15,7 @@ every experiment are read off its channels after the join finishes.
 a "forwarded window" operation; only the SemiJoin comparator uses it (the
 paper assumes R-tree-published servers for that algorithm alone).
 
-Resilience (PR 7).  A proxy may carry a :class:`ResilienceController`: every
+Resilience.  A proxy may carry a :class:`ResilienceController`: every
 metered exchange then runs through a retry loop against the deterministic
 fault stream of :mod:`repro.network.faults`.  The protocol is built on
 **idempotent request ids** -- the server caches the answer of the first
@@ -28,18 +28,20 @@ retry lane and the one successful attempt on the primary lane.  The primary
 ledger of a fault-injected run is therefore structurally identical to the
 fault-free run; only the retry lane and the resilience counters differ.
 
-Replication (PR 9).  A shard published on R > 1 replicas is fronted by a
-:class:`ReplicatedRemoteServer`: one channel (and one deterministic fault
-substream) per replica, with every exchange routed through a pluggable
-:class:`ReplicaRouter`.  When an exchange exhausts its retries on one
-replica, the proxy *fails over*: the identical request is replayed against
-a sibling replica (idempotent request ids make the replay safe).  The
-failed attempts were already accounted on the losing replica's retry lane,
-and the winning replica accounts the exchange on its primary lane -- so the
-shard-level merged primary ledger stays bit-identical to the unreplicated
+Replication.  A :class:`RemoteServer` fronts a *replica set*: one or more
+servers publishing one immutable build, each with its own channel (and its
+own deterministic fault substream).  An unreplicated connection is the set
+of one.  Before every exchange the replicas are ranked healthy-first (see
+:meth:`RemoteServer.apply_health`).  When an exchange exhausts its retries
+on one replica, the proxy *fails over*: the identical request is replayed
+against the next replica (idempotent request ids make the replay safe).
+The failed attempts were already accounted on the losing replica's retry
+lane, and the winning replica accounts the exchange on its primary lane --
+so the merged primary ledger stays bit-identical to the unreplicated
 fault-free run under any recoverable plan.  Only when every replica of a
 shard fails the same exchange does the proxy surface a typed
-:class:`~repro.errors.ServerUnavailable` for the whole shard.
+:class:`~repro.errors.ServerUnavailable` for the whole shard; a set of one
+re-raises the exchange's own typed error.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import numpy as np
 from repro.errors import ChannelFault, QueryTimeout, RetryExhausted, ServerUnavailable
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.network.channel import Channel
+from repro.network.channel import Channel, fingerprint_records
 from repro.network.config import NetworkConfig
 from repro.network.faults import FaultInjector, FaultKind, FaultPlan, RetryPolicy
 from repro.network.messages import (
@@ -66,21 +68,14 @@ from repro.network.messages import (
     WindowQuery,
 )
 from repro.server.interface import SpatialServerInterface
-from repro.server.server import ServerQueryStats, SpatialServer
+from repro.server.server import SpatialServer
 from repro.server.sharded import ShardedSpatialServer
 
 __all__ = [
     "RemoteServer",
     "IndexedRemoteServer",
-    "ReplicatedRemoteServer",
     "ShardedRemoteServer",
     "ResilienceController",
-    "ReplicaRouter",
-    "HealthyFirstRouter",
-    "RoundRobinRouter",
-    "LeastRetryBytesRouter",
-    "ROUTER_POLICIES",
-    "make_router",
     "ServerPair",
 ]
 
@@ -303,10 +298,10 @@ class ResilienceController:
     def note_failover(self, shard: str, replica: str, label: str, kind: str) -> None:
         """Record one mid-query failover (a replica exchange abandoned).
 
-        Called by :class:`ReplicatedRemoteServer` after an exchange
-        exhausted its retries on one replica and is about to replay on a
-        sibling; the broker reads the per-replica events to charge the
-        right breaker units.
+        Called by :class:`RemoteServer` after an exchange exhausted its
+        retries on one replica and is about to replay on a sibling; the
+        broker reads the per-replica events to charge the right breaker
+        units.
         """
         self.failovers += 1
         self._failover_events.append((shard, replica, label, kind))
@@ -351,50 +346,189 @@ class ResilienceController:
         }
 
 
+#: Ledger totals summed by the merged snapshot of a replica set or a fleet.
+_SNAPSHOT_SUMS = (
+    "uplink_bytes",
+    "downlink_bytes",
+    "total_bytes",
+    "uplink_packets",
+    "downlink_packets",
+    "messages_up",
+    "messages_down",
+    "total_cost",
+)
+
+
+def _merged_snapshot(
+    name: str, tariff: float, parts: List[Dict[str, object]], detail: str
+) -> Dict[str, object]:
+    """Summed totals of several ledger snapshots, the parts kept under ``detail``."""
+    merged: Dict[str, object] = {"name": name}
+    for key in _SNAPSHOT_SUMS:
+        merged[key] = sum(part[key] for part in parts)
+    merged["tariff"] = tariff
+    merged[detail] = parts
+    return merged
+
+
 class RemoteServer(SpatialServerInterface):
-    """A metered proxy in front of a :class:`SpatialServer`.
+    """A metered proxy in front of a replica set of one or more servers.
 
     Parameters
     ----------
-    server:
-        The backing server.
-    channel:
-        The accounting channel for this connection.  One channel per
-        server; the experiment reads the totals from it.
+    replicas:
+        The backing servers: a single server, or the R replicas of one
+        shard (one immutable build, independent identities).
+    channels:
+        One accounting channel per replica, in replica order; the
+        experiment reads the totals from them.
     resilience:
         Optional shared :class:`ResilienceController`; when present every
         exchange runs through its fault/retry protocol.
+    name:
+        Connection name; defaults to the first replica's name (a
+        replicated shard passes the shard name).
+
+    Every method evaluates the backing server exactly once, on the head of
+    the healthy-first replica ranking (replicas answer identically), and
+    then accounts the exchange through :meth:`_exchange`, which fails over
+    along the ranking.  With one replica the connection behaves like a
+    plain metered link: its snapshot and fingerprint are its channel's,
+    and a lost exchange re-raises its own typed error.
     """
 
     def __init__(
         self,
-        server: SpatialServer,
-        channel: Channel,
+        replicas: Sequence[SpatialServer],
+        channels: Sequence[Channel],
         resilience: Optional[ResilienceController] = None,
+        name: Optional[str] = None,
     ) -> None:
-        self._server = server
-        self.channel = channel
-        self.name = server.name
+        self.replicas = tuple(replicas)
+        #: All accounting channels behind this connection, replica order.
+        self.channels = tuple(channels)
+        if not self.replicas:
+            raise ValueError("a remote server needs at least one replica")
+        if len(self.channels) != len(self.replicas):
+            raise ValueError("one channel per replica required")
+        self.name = name if name is not None else self.replicas[0].name
+        #: The first replica's channel: config and tariff reads (all replica
+        #: channels share both), and the whole ledger of a single server.
+        self.channel = self.channels[0]
         self.resilience = resilience
+        self._names = tuple(rep.name for rep in self.replicas)
+        self._down: set = set()
+        self._probe: set = set()
+        self._failed: set = set()
+        #: ``(replica_index, primary_record_count)`` per successful
+        #: exchange, in exchange order -- the splice map of the merged
+        #: primary ledger.
+        self._spliced: List[Tuple[int, int]] = []
+        #: ``(shard, replica_channel, label, kind)`` per abandoned replica
+        #: exchange (read by the broker to charge per-replica breakers).
+        self._failovers: List[Tuple[str, str, str, str]] = []
+        self._rank_replicas()
 
     # ------------------------------------------------------------------ #
+    # healthy-first replica ranking
+    # ------------------------------------------------------------------ #
+
+    def apply_health(self, health: Dict[str, str]) -> None:
+        """Apply broker breaker verdicts (``"down"`` / ``"probe"`` by name).
+
+        A ``down`` replica (breaker open, still cooling) is routed around
+        and tried last-resort only; a ``probe`` replica (half-open breaker)
+        is preferred, so the probe traffic reaches the recovering server.
+        The marks last as long as the connection; names of other servers
+        are ignored.
+        """
+        for name, state in health.items():
+            if name not in self._names:
+                continue
+            if state == "down":
+                self._down.add(name)
+                self._probe.discard(name)
+            elif state == "probe":
+                self._probe.add(name)
+                self._down.discard(name)
+        self._rank_replicas()
+
+    def _rank(self, idx: int) -> int:
+        name = self._names[idx]
+        if name in self._down:
+            return 3
+        if idx in self._failed:
+            return 2
+        if name in self._probe:
+            return 0
+        return 1
+
+    def _rank_replicas(self) -> None:
+        """Recompute the replica try-order and its head, :attr:`_server`.
+
+        Probe replicas come first, then healthy ones, then replicas that
+        already lost an exchange of this run (until :meth:`reset_channels`),
+        and down replicas last; ties keep replica order.  The order changes
+        only with marks and failures, so it is kept here rather than
+        re-sorted per exchange -- and with none of either (the common
+        state) it is the identity, without a sort.
+        """
+        count = len(self.replicas)
+        if self._down or self._probe or self._failed:
+            self._order = sorted(range(count), key=self._rank)
+        else:
+            self._order = range(count)
+        self._server = self.replicas[self._order[0]]
 
     def _exchange(self, label: str, account: Callable[[Channel], None]) -> None:
-        """Account one logical exchange, via the resilience layer if any.
+        """Account one logical exchange, failing over along the ranking.
 
         The server evaluation must already have happened (exactly once)
-        when this is called; ``account`` only writes channel records.  It
-        takes the channel to write to as a parameter so a replicated proxy
-        can replay the identical exchange onto a sibling replica's channel
-        (see :class:`ReplicatedRemoteServer`); a single-channel proxy
-        always passes its own channel.
+        when this is called; ``account`` only writes channel records, to
+        the channel it is given, so the identical exchange can be replayed
+        on a sibling replica.  A replica that exhausts its retries (or is
+        declared unavailable) has already accounted its attempts on its
+        own retry lane; the exchange then moves to the next replica.
+        Unrecoverable faults (link disconnect), deadline timeouts and any
+        loss on a connection without siblings abort the query with the
+        exchange's own typed error.
         """
-        if self.resilience is None:
-            account(self.channel)
-        else:
-            self.resilience.exchange(
-                self.channel, label, lambda: account(self.channel)
-            )
+        for idx in self._order:
+            channel = self.channels[idx]
+            before = len(channel.log.records)
+            try:
+                if self.resilience is None:
+                    account(channel)
+                else:
+                    self.resilience.exchange(channel, label, lambda: account(channel))
+            except (ChannelFault, RetryExhausted) as err:
+                fault = err.last_fault if isinstance(err, RetryExhausted) else err
+                if len(self.replicas) == 1 or not fault.recoverable:
+                    raise
+                kind = fault.kind
+                self._failed.add(idx)
+                self._rank_replicas()
+                self._failovers.append((self.name, channel.name, label, kind))
+                if self.resilience is not None:
+                    self.resilience.note_failover(self.name, channel.name, label, kind)
+                continue
+            finally:
+                # Whatever this attempt put on the primary lane -- nothing
+                # for a lost exchange, a completed one even if the deadline
+                # then expires -- keeps its place in exchange order.
+                self._spliced.append((idx, len(channel.log.records) - before))
+            if idx in self._failed:
+                self._failed.discard(idx)
+                self._rank_replicas()
+            return
+        raise ServerUnavailable(
+            f"all {len(self.replicas)} replicas of shard {self.name!r} "
+            f"unavailable during {label!r}",
+            server=self.name,
+            op_index=None,
+            kind="unavailable",
+            recoverable=True,
+        )
 
     @property
     def config(self) -> NetworkConfig:
@@ -432,23 +566,6 @@ class RemoteServer(SpatialServerInterface):
 
         self._exchange("count", account)
         return value
-
-    def window_batch(
-        self, windows: Sequence[Rect]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Issue many WINDOW queries, evaluated server-side in one descent.
-
-        Each window is accounted as its own query/response exchange, so the
-        wire bytes are bit-identical to a loop of :meth:`window` calls; the
-        per-window payloads are slices of the flat assembly of
-        :meth:`window_batch_flat`.
-        """
-        windows = list(windows)
-        mbrs, oids, bounds = self.window_batch_flat(windows)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(windows))
-        ]
 
     def window_batch_flat(
         self, windows: Sequence[Rect]
@@ -550,22 +667,6 @@ class RemoteServer(SpatialServerInterface):
         self._exchange("range", account)
         return mbrs, oids
 
-    def range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Issue many RANGE probes, evaluated server-side in one descent.
-
-        Unlike :meth:`bucket_range` this is *not* the bucket protocol: every
-        probe is metered as its own query/response exchange, bit-identical
-        to a loop of :meth:`range` calls.  The per-probe payloads are
-        slices of the flat assembly of :meth:`range_batch_flat`.
-        """
-        mbrs, oids, bounds = self.range_batch_flat(centers, radii)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(centers))
-        ]
-
     def range_batch_flat(
         self, centers: Sequence[Point], radii: Sequence[float]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -637,41 +738,81 @@ class RemoteServer(SpatialServerInterface):
         return value
 
     # ------------------------------------------------------------------ #
-    # connection introspection (one channel here; a shard fleet has many)
+    # connection introspection (one channel per replica)
     # ------------------------------------------------------------------ #
 
-    @property
-    def channels(self) -> Tuple[Channel, ...]:
-        """All accounting channels behind this connection."""
-        return (self.channel,)
-
     def reset_channels(self) -> None:
-        """Zero every channel ledger of this connection."""
-        self.channel.reset()
+        """Zero every channel ledger and forget this run's replica failures.
+
+        Broker health marks survive: they belong to the connection.
+        """
+        for channel in self.channels:
+            channel.reset()
+        self._spliced.clear()
+        self._failovers.clear()
+        self._failed.clear()
+        self._rank_replicas()
+
+    def failover_events(self) -> Tuple[Tuple[str, str, str, str], ...]:
+        """All ``(shard, replica, label, kind)`` failovers of this run."""
+        return tuple(self._failovers)
 
     def channel_snapshot(self) -> Dict[str, object]:
-        """The connection's ledger snapshot (merged over all channels)."""
-        return self.channel.snapshot()
+        """The connection's ledger snapshot.
+
+        A single server's is its channel's; a replica set's sums the
+        replica channels and lists them under ``"replicas"``.
+        """
+        if len(self.channels) == 1:
+            return self.channel.snapshot()
+        return _merged_snapshot(
+            self.name,
+            self.tariff,
+            [channel.snapshot() for channel in self.channels],
+            "replicas",
+        )
 
     def ledger_fingerprint(self) -> Tuple:
-        """Bit-exact fingerprint of the connection's primary-lane ledger."""
-        return self.channel.ledger_fingerprint()
+        """Bit-exact fingerprint of the connection's primary-lane ledger.
+
+        Splices the per-replica primary records back into exchange order,
+        using the ``(replica, record_count)`` map captured at exchange
+        time, and sums the per-replica primary counters.  The result is
+        built like :meth:`Channel.ledger_fingerprint`, from the channel
+        module's record digest and counter list, under the connection's
+        name: a single server's equals its channel's, and a
+        replicated shard under a recoverable plan fingerprints
+        bit-identically to the unreplicated fault-free shard, whichever
+        replicas served.
+        """
+        cursors = [0] * len(self.channels)
+        merged_records: List[Tuple] = []
+        for idx, count in self._spliced:
+            start = cursors[idx]
+            records = self.channels[idx].log.records[start : start + count]
+            merged_records.extend(fingerprint_records(records))
+            cursors[idx] = start + count
+        sums = [
+            sum(getattr(channel, key) for channel in self.channels)
+            for key in Channel.LEDGER_COUNTERS
+        ]
+        return (self.name, *sums, tuple(merged_records))
 
     def server_stats(self) -> Dict[str, int]:
-        """The backing server's query-statistics counters."""
-        return self._server.stats.as_dict()
-
-    def stat_objects(self) -> Tuple[ServerQueryStats, ...]:
-        """The mutable statistics objects behind this connection (audits)."""
-        return (self._server.stats,)
+        """Replica-summed query statistics (evaluation moves on failover)."""
+        totals: Dict[str, int] = {}
+        for rep in self.replicas:
+            for key, value in rep.stats.as_dict().items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
 
     def total_bytes(self) -> int:
         """Total wire bytes moved over this connection so far."""
-        return self.channel.total_bytes
+        return sum(channel.total_bytes for channel in self.channels)
 
     def total_cost(self) -> float:
         """Tariff-weighted cost of this connection so far."""
-        return self.channel.total_cost
+        return sum(channel.total_cost for channel in self.channels)
 
 
 class IndexedRemoteServer(RemoteServer):
@@ -867,398 +1008,15 @@ class IndexedRemoteServer(RemoteServer):
         return pairs
 
 
-class ReplicaRouter:
-    """Deterministic replica-choice policy for one shard's replica set.
-
-    The router ranks the replicas of one shard before every exchange;
-    :class:`ReplicatedRemoteServer` tries them in that order, failing over
-    to the next candidate when an exchange exhausts its retries.  Ranking
-    consults two kinds of state:
-
-    * **broker marks** (:meth:`mark_down` / :meth:`mark_probe`): breaker
-      verdicts applied at admission time -- a cooling replica is routed
-      around (tried last-resort only), a half-open replica is *preferred*
-      so the probe traffic reaches the recovering server;
-    * **session failures** (:meth:`note_failure`): replicas that already
-      failed an exchange of this query sink below the healthy ones for the
-      rest of the query (cleared by :meth:`reset`, i.e. per run).
-
-    Within a rank the tie-break is policy-specific but always
-    deterministic: same marks, same history, same order.  Subclasses
-    override :meth:`_key` (the within-rank sort key) and optionally
-    :meth:`_advance` (state evolved once per routed exchange).
-    """
-
-    policy = "healthy"
-
-    def __init__(self) -> None:
-        self._names: Tuple[str, ...] = ()
-        self._channels: Tuple[Channel, ...] = ()
-        self._down: set = set()
-        self._probe: set = set()
-        self._failed: set = set()
-
-    def bind(self, names: Sequence[str], channels: Sequence[Channel]) -> None:
-        """Attach the replica names/channels this router chooses among."""
-        self._names = tuple(names)
-        self._channels = tuple(channels)
-
-    # -- broker health marks ------------------------------------------- #
-
-    def mark_down(self, name: str) -> None:
-        """Route around ``name`` (its breaker is open and still cooling)."""
-        if name in self._names:
-            self._down.add(name)
-            self._probe.discard(name)
-
-    def mark_probe(self, name: str) -> None:
-        """Prefer ``name`` (half-open breaker: send the probe to it)."""
-        if name in self._names:
-            self._probe.add(name)
-            self._down.discard(name)
-
-    # -- session failure memory ---------------------------------------- #
-
-    def note_failure(self, idx: int) -> None:
-        self._failed.add(idx)
-
-    def note_success(self, idx: int) -> None:
-        self._failed.discard(idx)
-
-    def reset(self) -> None:
-        """Forget session failures (broker marks survive; they are per-stack)."""
-        self._failed.clear()
-
-    # -- ordering ------------------------------------------------------- #
-
-    def _rank(self, idx: int) -> int:
-        name = self._names[idx]
-        if name in self._down:
-            return 3
-        if idx in self._failed:
-            return 2
-        if name in self._probe:
-            return 0
-        return 1
-
-    def _key(self, idx: int):
-        """Within-rank tie-break; the default is the stable replica index."""
-        return idx
-
-    def _ordered(self) -> List[int]:
-        return sorted(
-            range(len(self._names)), key=lambda i: (self._rank(i), self._key(i), i)
-        )
-
-    def _advance(self) -> None:
-        """Evolve per-exchange state (default: stateless)."""
-
-    def order(self) -> List[int]:
-        """Full candidate order for one exchange (advances policy state)."""
-        out = self._ordered()
-        self._advance()
-        return out
-
-    def peek(self) -> int:
-        """The replica the *next* :meth:`order` call will try first.
-
-        Never advances state: the proxy evaluates the backing server on the
-        peeked replica, then routes the accounting through :meth:`order`,
-        and the two must agree.
-        """
-        return self._ordered()[0]
-
-
-class HealthyFirstRouter(ReplicaRouter):
-    """Default policy: healthy replicas first, stable index tie-break."""
-
-    policy = "healthy"
-
-    def _ordered(self) -> List[int]:
-        # Fast path for the overwhelmingly common state: no marks, no
-        # session failures.  Rank and tie-break then both reduce to the
-        # stable replica index, so the order is the identity -- skipping
-        # the sort keeps zero-fault replication overhead near zero
-        # (peek + order run before every exchange).
-        if not self._down and not self._probe and not self._failed:
-            return list(range(len(self._names)))
-        return super()._ordered()
-
-
-class RoundRobinRouter(ReplicaRouter):
-    """Rotate the preferred replica one step per routed exchange."""
-
-    policy = "round_robin"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cursor = 0
-
-    def _key(self, idx: int):
-        n = len(self._names)
-        return (idx - self._cursor) % n if n else 0
-
-    def _advance(self) -> None:
-        n = len(self._names)
-        if n:
-            self._cursor = (self._cursor + 1) % n
-
-
-class LeastRetryBytesRouter(ReplicaRouter):
-    """Prefer the replica whose channel has burned the fewest retry bytes."""
-
-    policy = "least_retry_bytes"
-
-    def _key(self, idx: int):
-        return (self._channels[idx].retry_bytes, idx)
-
-
-ROUTER_POLICIES: Dict[str, type] = {
-    "healthy": HealthyFirstRouter,
-    "round_robin": RoundRobinRouter,
-    "least_retry_bytes": LeastRetryBytesRouter,
-}
-
-
-def make_router(policy: Optional[str] = None) -> ReplicaRouter:
-    """Instantiate a replica-routing policy by name (``None`` -> default)."""
-    if policy is None:
-        return HealthyFirstRouter()
-    if isinstance(policy, ReplicaRouter):
-        return policy
-    cls = ROUTER_POLICIES.get(policy)
-    if cls is None:
-        raise ValueError(
-            f"unknown replica router policy {policy!r}; "
-            f"known: {sorted(ROUTER_POLICIES)}"
-        )
-    return cls()
-
-
-class ReplicatedRemoteServer(RemoteServer):
-    """A metered failover proxy in front of one shard's replica set.
-
-    Looks exactly like a :class:`RemoteServer` for the shard (same metered
-    methods, same evaluate-once structure) but holds one channel per
-    replica.  Every exchange is routed by a :class:`ReplicaRouter`; on
-    retry exhaustion against one replica the identical request is replayed
-    on the next candidate (the failed attempts stay on the loser's retry
-    lane), and only when every replica fails does the exchange surface a
-    shard-level :class:`~repro.errors.ServerUnavailable`.
-
-    The merged primary ledger is the failover invariant:
-    :meth:`ledger_fingerprint` splices the per-replica primary records back
-    into exchange order, yielding a fingerprint bit-identical to the one
-    the unreplicated shard channel would produce -- whichever replicas
-    served, under any recoverable plan, with any router policy.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        replicas: Sequence[SpatialServer],
-        channels: Sequence[Channel],
-        resilience: Optional[ResilienceController] = None,
-        router: Optional[ReplicaRouter] = None,
-    ) -> None:
-        replicas = tuple(replicas)
-        channels = tuple(channels)
-        if len(channels) != len(replicas):
-            raise ValueError("one channel per replica required")
-        if not replicas:
-            raise ValueError("a replicated proxy needs at least one replica")
-        self.name = name
-        self._replicas = replicas
-        self._channels_tuple = channels
-        # Representative channel: config/tariff reads only (all replica
-        # channels share both); never written to directly.
-        self.channel = channels[0]
-        self.resilience = resilience
-        self.router = router if router is not None else HealthyFirstRouter()
-        self.router.bind(tuple(rep.name for rep in replicas), channels)
-        #: ``(replica_index, primary_record_count)`` per successful
-        #: exchange, in exchange order -- the splice map of the merged
-        #: primary ledger.
-        self._primary_sequence: List[Tuple[int, int]] = []
-        #: ``(shard, replica_channel, label, kind)`` per abandoned replica
-        #: exchange (read by the broker to charge per-replica breakers).
-        self.failover_events: List[Tuple[str, str, str, str]] = []
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def _server(self) -> SpatialServer:
-        """The replica the next exchange will be routed to first.
-
-        Evaluation (and its statistics) follows the router's current first
-        choice; replicas share one immutable build, so the answer is the
-        same whichever replica evaluates.
-        """
-        return self._replicas[self.router.peek()]
-
-    def _exchange(self, label: str, account: Callable[[Channel], None]) -> None:
-        """Route one exchange across the replicas, failing over on loss.
-
-        Candidates are tried in router order.  A candidate that exhausts
-        its retries (or is declared unavailable) has already accounted its
-        attempts on its own retry lane; the exchange is then replayed
-        verbatim on the next candidate.  Unrecoverable faults (link
-        disconnect) and deadline timeouts are not failover events -- they
-        abort the query as before.
-        """
-        order = self.router.order()
-        for position, idx in enumerate(order):
-            channel = self._channels_tuple[idx]
-            before = len(channel.log.records)
-            try:
-                if self.resilience is None:
-                    account(channel)
-                else:
-                    self.resilience.exchange(
-                        channel, label, lambda: account(channel)
-                    )
-            except (ChannelFault, RetryExhausted) as err:
-                if isinstance(err, ChannelFault) and not err.recoverable:
-                    raise
-                kind = (
-                    err.kind
-                    if isinstance(err, ChannelFault)
-                    else err.last_fault.kind
-                )
-                self.router.note_failure(idx)
-                self.failover_events.append((self.name, channel.name, label, kind))
-                if self.resilience is not None:
-                    self.resilience.note_failover(
-                        self.name, channel.name, label, kind
-                    )
-                continue
-            self.router.note_success(idx)
-            self._primary_sequence.append(
-                (idx, len(channel.log.records) - before)
-            )
-            return
-        raise ServerUnavailable(
-            f"all {len(order)} replicas of shard {self.name!r} unavailable "
-            f"during {label!r}",
-            server=self.name,
-            op_index=None,
-            kind="unavailable",
-            recoverable=True,
-        )
-
-    def apply_health(self, health: Dict[str, str]) -> None:
-        """Apply broker breaker verdicts (``"down"`` / ``"probe"`` by name)."""
-        for name, state in health.items():
-            if state == "down":
-                self.router.mark_down(name)
-            elif state == "probe":
-                self.router.mark_probe(name)
-
-    # ------------------------------------------------------------------ #
-    # connection introspection (one channel per replica)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def channels(self) -> Tuple[Channel, ...]:
-        """All replica channels, replica order."""
-        return self._channels_tuple
-
-    def reset_channels(self) -> None:
-        for channel in self._channels_tuple:
-            channel.reset()
-        self._primary_sequence.clear()
-        self.failover_events.clear()
-        self.router.reset()
-
-    def channel_snapshot(self) -> Dict[str, object]:
-        """Shard ledger snapshot: summed totals plus per-replica detail."""
-        replica_snaps = [chan.snapshot() for chan in self._channels_tuple]
-        summed = (
-            "uplink_bytes",
-            "downlink_bytes",
-            "total_bytes",
-            "uplink_packets",
-            "downlink_packets",
-            "messages_up",
-            "messages_down",
-            "total_cost",
-        )
-        merged: Dict[str, object] = {"name": self.name}
-        for key in summed:
-            merged[key] = sum(snap[key] for snap in replica_snaps)
-        merged["tariff"] = self.tariff
-        merged["replicas"] = replica_snaps
-        return merged
-
-    def ledger_fingerprint(self) -> Tuple:
-        """The shard's merged primary-lane fingerprint (replica-agnostic).
-
-        Splices the per-replica primary records back into exchange order
-        using the ``(replica, record_count)`` sequence captured at exchange
-        time, and sums the per-replica primary counters.  Shaped exactly
-        like :meth:`Channel.ledger_fingerprint` of a single shard channel
-        (record tuples carry no channel name), so a replicated shard under
-        a recoverable plan fingerprints bit-identically to the unreplicated
-        fault-free shard.
-        """
-        cursors = [0] * len(self._channels_tuple)
-        merged_records: List[Tuple] = []
-        for idx, count in self._primary_sequence:
-            records = self._channels_tuple[idx].log.records
-            start = cursors[idx]
-            merged_records.extend(
-                (
-                    rec.direction,
-                    rec.kind.value,
-                    rec.payload_bytes,
-                    rec.wire_bytes,
-                    rec.packets,
-                    rec.label,
-                )
-                for rec in records[start : start + count]
-            )
-            cursors[idx] = start + count
-        sums = [0] * 6
-        for chan in self._channels_tuple:
-            for j, key in enumerate(
-                (
-                    "uplink_bytes",
-                    "downlink_bytes",
-                    "uplink_packets",
-                    "downlink_packets",
-                    "messages_up",
-                    "messages_down",
-                )
-            ):
-                sums[j] += getattr(chan, key)
-        return (self.name, *sums, tuple(merged_records))
-
-    def server_stats(self) -> Dict[str, int]:
-        """Replica-summed statistics (evaluation may move on failover)."""
-        totals: Dict[str, int] = {}
-        for rep in self._replicas:
-            for key, value in rep.stats.as_dict().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def stat_objects(self) -> Tuple[ServerQueryStats, ...]:
-        return tuple(rep.stats for rep in self._replicas)
-
-    def total_bytes(self) -> int:
-        return sum(chan.total_bytes for chan in self._channels_tuple)
-
-    def total_cost(self) -> float:
-        return sum(chan.total_cost for chan in self._channels_tuple)
-
-
 class ShardedRemoteServer(SpatialServerInterface):
     """A metered scatter/merge proxy in front of a shard fleet.
 
     The device-side algorithms see one :class:`SpatialServerInterface`
-    endpoint; underneath, every shard has its own ordinary
-    :class:`RemoteServer` on its own :class:`Channel` (named after the
-    shard, e.g. ``"R#2"``), so per-shard byte ledgers, retry lanes and
-    deterministic fault substreams come for free.
+    endpoint; underneath, every shard has its own :class:`RemoteServer`
+    over the shard's replica set, one :class:`Channel` per replica (named
+    after the shard, e.g. ``"R#2"``, or the replica, ``"R#2/1"``), so
+    per-shard byte ledgers, retry lanes, deterministic fault substreams
+    and failover come for free.
 
     Routing is by bounds intersection: a request window is scattered only
     to the non-empty shards whose dataset bounds it intersects; a range
@@ -1276,7 +1034,6 @@ class ShardedRemoteServer(SpatialServerInterface):
         fleet: ShardedSpatialServer,
         channels: Sequence[Channel],
         resilience: Optional[ResilienceController] = None,
-        router: Optional[str] = None,
     ) -> None:
         channels = tuple(channels)
         expected = sum(len(group) for group in fleet.replica_groups)
@@ -1288,31 +1045,20 @@ class ShardedRemoteServer(SpatialServerInterface):
         self._fleet = fleet
         self.name = fleet.name
         self.resilience = resilience
-        self.router_policy = router
-        # One proxy per shard: a plain RemoteServer for an unreplicated
-        # shard (bit-identical to the PR 8 plane), a failover
-        # ReplicatedRemoteServer -- with its own router instance -- when
-        # the shard has siblings.  Channels arrive replica-major in fleet
-        # order: R#0/0, R#0/1, ..., R#1/0, ...
+        # One proxy per shard, over the shard's replica set.  Channels
+        # arrive replica-major in fleet order: R#0/0, R#0/1, ..., R#1/0, ...
         proxies: List[RemoteServer] = []
         pos = 0
         for group, shard_name in zip(fleet.replica_groups, fleet.shard_names):
-            group_chans = channels[pos : pos + len(group)]
+            proxies.append(
+                RemoteServer(
+                    group,
+                    channels[pos : pos + len(group)],
+                    resilience=resilience,
+                    name=shard_name,
+                )
+            )
             pos += len(group)
-            if len(group) == 1:
-                proxies.append(
-                    RemoteServer(group[0], group_chans[0], resilience=resilience)
-                )
-            else:
-                proxies.append(
-                    ReplicatedRemoteServer(
-                        shard_name,
-                        group,
-                        group_chans,
-                        resilience=resilience,
-                        router=make_router(router),
-                    )
-                )
         self._proxies = tuple(proxies)
         # Routing table: shard dataset bounds, None for empty shards (an
         # empty shard never answers and is never routed to).
@@ -1403,16 +1149,6 @@ class ShardedRemoteServer(SpatialServerInterface):
             [self._proxies[i].window(window) for i in self._routed(window)]
         )
 
-    def window_batch(
-        self, windows: Sequence[Rect]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        windows = list(windows)
-        mbrs, oids, bounds = self.window_batch_flat(windows)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(windows))
-        ]
-
     def window_batch_flat(
         self, windows: Sequence[Rect]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1465,15 +1201,6 @@ class ShardedRemoteServer(SpatialServerInterface):
         return self._merge_payloads(
             [self._proxies[i].range(center, epsilon) for i in self._routed(probe)]
         )
-
-    def range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        mbrs, oids, bounds = self.range_batch_flat(centers, radii)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(centers))
-        ]
 
     def range_batch_flat(
         self, centers: Sequence[Point], radii: Sequence[float]
@@ -1573,57 +1300,38 @@ class ShardedRemoteServer(SpatialServerInterface):
             proxy.reset_channels()
 
     def apply_replica_health(self, health: Dict[str, str]) -> None:
-        """Push broker breaker verdicts down to the per-shard routers."""
+        """Push broker breaker verdicts down to the per-shard replica sets."""
         for proxy in self._proxies:
-            if isinstance(proxy, ReplicatedRemoteServer):
-                proxy.apply_health(health)
+            proxy.apply_health(health)
 
     def failover_events(self) -> Tuple[Tuple[str, str, str, str], ...]:
         """All ``(shard, replica, label, kind)`` failovers, shard order."""
         return tuple(
-            event
-            for proxy in self._proxies
-            for event in getattr(proxy, "failover_events", ())
+            event for proxy in self._proxies for event in proxy.failover_events()
         )
 
     def channel_snapshot(self) -> Dict[str, object]:
         """Fleet ledger snapshot: summed totals plus per-shard detail."""
-        shard_snaps = [proxy.channel_snapshot() for proxy in self._proxies]
-        summed = (
-            "uplink_bytes",
-            "downlink_bytes",
-            "total_bytes",
-            "uplink_packets",
-            "downlink_packets",
-            "messages_up",
-            "messages_down",
-            "total_cost",
+        return _merged_snapshot(
+            self.name,
+            self.tariff,
+            [proxy.channel_snapshot() for proxy in self._proxies],
+            "shards",
         )
-        merged: Dict[str, object] = {"name": self.name}
-        for key in summed:
-            merged[key] = sum(snap[key] for snap in shard_snaps)
-        merged["tariff"] = self.tariff
-        merged["shards"] = shard_snaps
-        return merged
 
     def ledger_fingerprint(self) -> Tuple:
         """Per-shard primary-lane fingerprints, shard order.
 
         A replicated shard contributes its replica-agnostic merged
-        fingerprint (see :meth:`ReplicatedRemoteServer.ledger_fingerprint`),
-        so the fleet fingerprint of a replicated run equals the
-        unreplicated one whenever the primary ledgers match.
+        fingerprint (see :meth:`RemoteServer.ledger_fingerprint`), so the
+        fleet fingerprint of a replicated run equals the unreplicated one
+        whenever the primary ledgers match.
         """
         return tuple(proxy.ledger_fingerprint() for proxy in self._proxies)
 
     def server_stats(self) -> Dict[str, int]:
         """Fleet-summed backing-server statistics."""
         return self._fleet.stats.as_dict()
-
-    def stat_objects(self) -> Tuple[ServerQueryStats, ...]:
-        return tuple(
-            stats for proxy in self._proxies for stats in proxy.stat_objects()
-        )
 
     def total_bytes(self) -> int:
         """Total wire bytes over all shard connections so far."""
@@ -1667,7 +1375,6 @@ class ServerPair:
         config: Optional[NetworkConfig] = None,
         indexed: bool = False,
         resilience: Optional[ResilienceController] = None,
-        router: Optional[str] = None,
         replica_health: Optional[Dict[str, str]] = None,
         observer=None,
     ) -> "ServerPair":
@@ -1679,12 +1386,11 @@ class ServerPair:
         substream) per *replica*.  ``resilience`` (if given) is shared by
         both sides: one retry policy, one deadline budget and one
         fault-plan instantiation per query, with a separate deterministic
-        fault stream per channel name.  ``router`` names the
-        :data:`ROUTER_POLICIES` entry replicated shards route through
-        (``None`` -> healthy-first); ``replica_health`` maps replica names
-        to ``"down"`` / ``"probe"`` breaker verdicts applied to the routers
-        at connect time.  ``observer`` is a read-only traffic observer
-        threaded into every channel (see :class:`Channel`).
+        fault stream per channel name.  ``replica_health`` maps replica
+        names to ``"down"`` / ``"probe"`` breaker verdicts applied to the
+        shards' replica rankings at connect time.  ``observer`` is a
+        read-only traffic observer threaded into every channel (see
+        :class:`Channel`).
         """
         config = config or NetworkConfig()
         sharded = isinstance(server_r, ShardedSpatialServer) or isinstance(
@@ -1707,16 +1413,14 @@ class ServerPair:
                 if resilience is not None:
                     for chan in chans:
                         resilience.register(chan)
-                proxy = ShardedRemoteServer(
-                    server, chans, resilience=resilience, router=router
-                )
+                proxy = ShardedRemoteServer(server, chans, resilience=resilience)
                 if replica_health:
                     proxy.apply_replica_health(replica_health)
                 return proxy
             chan = Channel(config, tariff=tariff, name=server.name, observer=observer)
             if resilience is not None:
                 resilience.register(chan)
-            return proxy_cls(server, chan, resilience=resilience)
+            return proxy_cls((server,), (chan,), resilience=resilience)
 
         return ServerPair(
             r=_connect_one(server_r, config.tariff_r),

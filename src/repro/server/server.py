@@ -202,20 +202,6 @@ class SpatialServer(SpatialServerInterface):
         oids = self._index.window_query(window)
         return self._materialise(oids)
 
-    def window_batch(self, windows: Sequence[Rect]) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Answer a batch of WINDOW queries in one index descent.
-
-        Statistics are updated exactly as if :meth:`window` had been called
-        once per window; the per-window payloads are slices of the flat
-        assembly of :meth:`window_batch_flat`.
-        """
-        windows = list(windows)
-        mbrs, oids, bounds = self.window_batch_flat(windows)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(windows))
-        ]
-
     def window_batch_flat(
         self, windows: Sequence[Rect]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,21 +235,6 @@ class SpatialServer(SpatialServerInterface):
         self.stats.range_queries += 1
         oids = self._index.range_query(center, epsilon)
         return self._materialise(oids)
-
-    def range_batch(
-        self, centers: Sequence[Point], radii: Sequence[float]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Answer a batch of RANGE queries in one index descent.
-
-        Statistics are updated exactly as if :meth:`range` had been called
-        once per probe; the per-probe payloads are slices of the flat
-        assembly of :meth:`range_batch_flat`.
-        """
-        mbrs, oids, bounds = self.range_batch_flat(centers, radii)
-        return [
-            (mbrs[bounds[i] : bounds[i + 1]], oids[bounds[i] : bounds[i + 1]])
-            for i in range(len(centers))
-        ]
 
     def range_batch_flat(
         self, centers: Sequence[Point], radii: Sequence[float]

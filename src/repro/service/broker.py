@@ -141,7 +141,7 @@ class _Admitted:
     #: The typed error that isolated this query from its wave, if any.
     failure: Optional[BaseException] = None
     #: Breaker verdicts for individual replicas (``name -> "down"/"probe"``),
-    #: computed at admission and pushed into the replica routers so a
+    #: computed at admission and pushed into the replica rankings so a
     #: cooling replica is routed around and a half-open one receives the
     #: probe traffic.
     replica_health: Optional[Dict[str, str]] = None
@@ -666,7 +666,6 @@ class QueryBroker:
             config=query.config or self.config,
             indexed=algorithm == "semijoin",
             resilience=resilience,
-            router=query.router,
             replica_health=entry.replica_health,
             observer=self._channel_observer,
         )
@@ -741,7 +740,7 @@ class QueryBroker:
         around, tried last-resort only) and a half-open replica is marked
         ``"probe"`` (preferred, so the probe traffic reaches the
         recovering server); the marks land in ``entry.replica_health`` and
-        are applied to the replica routers at connect time.
+        are applied to the replica rankings at connect time.
         """
         base_r, base_s = self._base_servers(entry.query)
         entry.base_r, entry.base_s = base_r, base_s
@@ -864,12 +863,7 @@ class QueryBroker:
         if entry.device is None:
             return faulted
         for side in (entry.device.servers.r, entry.device.servers.s):
-            events = getattr(side, "failover_events", None)
-            if events is None:
-                continue
-            for _shard, replica, _label, kind in (
-                events() if callable(events) else tuple(events)
-            ):
+            for _shard, replica, _label, kind in side.failover_events():
                 if kind != "unavailable" or replica in faulted:
                     continue
                 faulted.add(replica)

@@ -210,10 +210,8 @@ def query_key(query: JoinQuery, algorithm: str, default_config) -> Tuple:
         query.shards_s,
         query.shard_scheme,
         # Replication changes the per-replica ledger detail and failure
-        # behaviour (never the pairs or primary totals); the router policy
-        # decides which replicas serve, so both key the entry.
+        # behaviour (never the pairs or primary totals).
         query.replicas,
-        query.router,
     )
 
 

@@ -87,14 +87,12 @@ class JoinQuery:
         per-shard channels, ledgers, breakers and fault substreams; join
         pairs stay bit-identical to the unsharded run.  SemiJoin queries
         must stay unsharded.
-    replicas, router:
-        Replication factor per shard and replica-routing policy name.  A
-        factor > 1 publishes every shard on R replica servers sharing one
-        index build (per-replica channels, breakers and fault substreams);
-        the connection fails a lost exchange over to a sibling replica
-        mid-query.  ``router`` is a
-        :data:`~repro.server.remote.ROUTER_POLICIES` name (``None`` ->
-        healthy-first).  SemiJoin queries must stay unreplicated.
+    replicas:
+        Replication factor per shard.  A factor > 1 publishes every shard
+        on R replica servers sharing one index build (per-replica
+        channels, breakers and fault substreams); the connection tries the
+        replicas healthy-first and fails a lost exchange over to a sibling
+        replica mid-query.  SemiJoin queries must stay unreplicated.
     """
 
     dataset_r: SpatialDataset
@@ -116,7 +114,6 @@ class JoinQuery:
     shards_s: int = 1
     shard_scheme: str = "grid"
     replicas: int = 1
-    router: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.buffer_size <= 0:
@@ -132,14 +129,6 @@ class JoinQuery:
                 f"unknown partition scheme {self.shard_scheme!r}; "
                 f"available: {PARTITION_SCHEMES}"
             )
-        if self.router is not None:
-            from repro.server.remote import ROUTER_POLICIES
-
-            if self.router not in ROUTER_POLICIES:
-                raise ValueError(
-                    f"unknown replica router policy {self.router!r}; "
-                    f"known: {sorted(ROUTER_POLICIES)}"
-                )
 
     def resolved_window(self) -> Rect:
         """The joined region (defaults to :func:`default_join_window`).

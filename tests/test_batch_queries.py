@@ -21,8 +21,10 @@ from repro.geometry.rect import Rect
 from repro.index.aggregate_rtree import AggregateRTree
 from repro.index.plane_sweep import plane_sweep_pairs, plane_sweep_pairs_scalar
 from repro.index.rtree import RTree
+from repro.network.channel import Channel
 from repro.network.config import NetworkConfig
-from repro.server.remote import ServerPair
+from repro.server import ShardedSpatialServer
+from repro.server.remote import RemoteServer, ServerPair
 from repro.server.server import SpatialServer
 
 
@@ -37,6 +39,11 @@ def _random_windows(n: int, seed: int):
     ]
 
 
+def _csr_lists(bounds, oids):
+    """Slice a CSR ``(bounds, oids)`` batch answer into per-query arrays."""
+    return [oids[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)]
+
+
 class TestFlatTreeBatches:
     @pytest.mark.parametrize("dataset", ["uniform", "clustered", "railway"])
     def test_window_and_count_batch_match_scalar(self, dataset):
@@ -48,7 +55,7 @@ class TestFlatTreeBatches:
             ds = uniform(n=500, seed=2)
         tree = RTree.bulk_load(ds.entries(), max_entries=8)
         windows = _random_windows(40, seed=9)
-        batched = tree.window_query_batch(windows)
+        batched = _csr_lists(*tree.window_query_batch_flat(windows))
         counts = tree.count_window_batch(windows)
         for window, oids, count in zip(windows, batched, counts):
             scalar = tree.window_query(window)
@@ -61,7 +68,7 @@ class TestFlatTreeBatches:
         rng = np.random.default_rng(1)
         centers = [Point(float(x), float(y)) for x, y in rng.uniform(0, 1, size=(60, 2))]
         radii = rng.uniform(0.0, 0.1, size=60).tolist()
-        batched = tree.range_query_batch(centers, radii)
+        batched = _csr_lists(*tree.range_query_batch_flat(centers, radii))
         for center, radius, oids in zip(centers, radii, batched):
             assert sorted(oids.tolist()) == sorted(tree.range_query(center, radius))
 
@@ -71,21 +78,11 @@ class TestFlatTreeBatches:
         windows = _random_windows(30, seed=13)
         assert agg.count_batch(windows) == [agg.count(w) for w in windows]
 
-    def test_flat_view_rebuilt_after_insert(self):
-        tree = RTree(max_entries=4)
-        for i in range(10):
-            tree.insert(Rect(i * 0.1, 0.0, i * 0.1 + 0.05, 0.05), i)
-        everything = Rect(-1, -1, 2, 2)
-        assert tree.count_window_batch([everything]) == [10]
-        tree.insert(Rect(0.5, 0.5, 0.6, 0.6), 99)
-        assert tree.count_window_batch([everything]) == [11]
-        assert 99 in tree.window_query_batch([everything])[0].tolist()
-
     def test_empty_tree_and_empty_batch(self):
         tree = RTree(max_entries=4)
-        assert tree.window_query_batch([]) == []
+        assert _csr_lists(*tree.window_query_batch_flat([])) == []
         assert tree.count_window_batch([Rect(0, 0, 1, 1)]) == [0]
-        assert tree.range_query_batch([], []) == []
+        assert _csr_lists(*tree.range_query_batch_flat([], [])) == []
 
 
 class TestServerBatches:
@@ -194,6 +191,80 @@ class TestWindowBatchFlat:
         assert mbrs.shape == (0, 4) and oids.shape == (0,)
         assert bounds.tolist() == [0]
         assert server.stats.window_queries == 0
+
+
+ENDPOINTS = ["server", "remote", "replicated", "sharded", "sharded-replicated"]
+
+
+def _endpoint(kind: str):
+    """A fresh endpoint of one kind over the same dataset."""
+    ds = clustered(n=240, clusters=4, seed=43, name="R")
+    if kind == "server":
+        return SpatialServer(ds, name="R")
+    if kind == "replicated":
+        replicas = [SpatialServer(ds, name=f"R/{j}") for j in range(2)]
+        channels = [Channel(NetworkConfig(), name=rep.name) for rep in replicas]
+        return RemoteServer(replicas, channels, name="R")
+    if kind == "remote":
+        server = SpatialServer(ds, name="R")
+    else:
+        replicas = 2 if kind == "sharded-replicated" else 1
+        server = ShardedSpatialServer(ds, name="R", shards=4, replicas=replicas)
+    other = SpatialServer(uniform(n=20, seed=44, name="S"), name="S")
+    return ServerPair.connect(server, other, config=NetworkConfig()).r
+
+
+def _meter(endpoint):
+    """What answering cost: server statistics, and wire bytes on a proxy."""
+    if isinstance(endpoint, SpatialServer):
+        return endpoint.stats.as_dict()
+    return endpoint.server_stats(), endpoint.total_bytes()
+
+
+def _rows(mbrs, oids):
+    return sorted(
+        (int(oid), tuple(mbr)) for oid, mbr in zip(oids.tolist(), mbrs.tolist())
+    )
+
+
+class TestSharedBatchForms:
+    """``window_batch``/``range_batch`` are written once, as CSR slices of
+    each endpoint's flat form; on every endpoint they must answer and
+    cost exactly what the scalar loop does."""
+
+    @pytest.mark.parametrize("kind", ENDPOINTS)
+    def test_window_batch_matches_scalar_loop(self, kind):
+        batched_ep, looped_ep = _endpoint(kind), _endpoint(kind)
+        windows = _random_windows(16, seed=45)
+        batched = batched_ep.window_batch(windows)
+        looped = [looped_ep.window(w) for w in windows]
+        assert len(batched) == len(windows)
+        for got, want in zip(batched, looped):
+            assert _rows(*got) == _rows(*want)
+        assert _meter(batched_ep) == _meter(looped_ep)
+
+    @pytest.mark.parametrize("kind", ENDPOINTS)
+    def test_range_batch_matches_scalar_loop(self, kind):
+        batched_ep, looped_ep = _endpoint(kind), _endpoint(kind)
+        rng = np.random.default_rng(47)
+        centers = [
+            Point(float(x), float(y)) for x, y in rng.uniform(0, 1, size=(12, 2))
+        ]
+        radii = rng.uniform(0.0, 0.1, size=12).tolist()
+        batched = batched_ep.range_batch(centers, radii)
+        looped = [looped_ep.range(c, e) for c, e in zip(centers, radii)]
+        assert len(batched) == len(centers)
+        for got, want in zip(batched, looped):
+            assert _rows(*got) == _rows(*want)
+        assert _meter(batched_ep) == _meter(looped_ep)
+
+    @pytest.mark.parametrize("kind", ENDPOINTS)
+    def test_empty_batches_answer_nothing(self, kind):
+        endpoint = _endpoint(kind)
+        untouched = _meter(_endpoint(kind))
+        assert endpoint.window_batch([]) == []
+        assert endpoint.range_batch([], []) == []
+        assert _meter(endpoint) == untouched
 
 
 class TestSemiJoinBatchExecution:

@@ -472,19 +472,25 @@ class TestSessionReuse:
     """A reused :class:`AdHocJoinSession` must be indistinguishable from a
     fresh one: :meth:`AdHocJoinSession.run` resets the resilience
     controller, so every run re-instantiates the fault plan from its seed
-    and draws the very same deterministic fault streams."""
+    and draws the very same deterministic fault streams.  A replicated
+    fleet's replica ranking (session failures) resets with it."""
 
-    def test_reused_session_replays_identical_fault_streams(self):
+    @pytest.mark.parametrize(
+        "stack",
+        [{}, dict(indexed=False, shards_r=2, shards_s=2, replicas=2)],
+        ids=["plain", "replicated"],
+    )
+    def test_reused_session_replays_identical_fault_streams(self, stack):
         from repro.api import AdHocJoinSession
 
         r, s = _datasets()
         plan = RECOVERABLE_PLANS[0]
-        session = AdHocJoinSession(r, s, buffer_size=BUFFER, faults=plan)
+        session = AdHocJoinSession(r, s, buffer_size=BUFFER, faults=plan, **stack)
         first = session.run("upjoin", epsilon=0.03)
         reused = session.run("upjoin", epsilon=0.03)
-        fresh = AdHocJoinSession(r, s, buffer_size=BUFFER, faults=plan).run(
-            "upjoin", epsilon=0.03
-        )
+        fresh = AdHocJoinSession(
+            r, s, buffer_size=BUFFER, faults=plan, **stack
+        ).run("upjoin", epsilon=0.03)
         _assert_identical(reused, first)
         _assert_identical(fresh, first)
         # The fault *streams* replay too, not just the primary-lane

@@ -1,4 +1,4 @@
-"""Tests for the in-memory join kernels (plane sweep, grid hash) and the grid index."""
+"""Tests for the in-memory join kernels (plane sweep, grid hash)."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import rect_array
-from repro.geometry.point import Point
 from repro.geometry.predicates import IntersectionPredicate, WithinDistancePredicate
 from repro.geometry.rect import Rect
-from repro.index.grid_index import GridIndex
 from repro.index.hash_join import grid_hash_join
 from repro.index.plane_sweep import plane_sweep_join, plane_sweep_pairs
 
@@ -113,51 +111,6 @@ class TestGridHashJoin:
             )
         )
         assert got == _oracle_pairs(a, b, predicate)
-
-
-class TestGridIndex:
-    def test_build_and_query(self):
-        mbrs = _random_mbrs(200, seed=8, extent=0.02)
-        entries = [
-            (Rect(*map(float, row)), i) for i, row in enumerate(mbrs)
-        ]
-        index = GridIndex.build(entries)
-        window = Rect(0.2, 0.2, 0.6, 0.7)
-        expected = sorted(
-            i for i, row in enumerate(mbrs) if Rect(*map(float, row)).intersects(window)
-        )
-        assert sorted(index.window_query(window)) == expected
-        assert index.count(window) == len(expected)
-
-    def test_range_query_matches_brute_force(self):
-        mbrs = _random_mbrs(150, seed=9)
-        entries = [(Rect(*map(float, row)), i) for i, row in enumerate(mbrs)]
-        index = GridIndex.build(entries)
-        center = Point(0.5, 0.5)
-        eps = 0.15
-        expected = sorted(
-            i
-            for i, row in enumerate(mbrs)
-            if Rect(*map(float, row)).min_distance_to_point(center) <= eps
-        )
-        assert sorted(index.range_query(center, eps)) == expected
-
-    def test_insert_outside_bounds_not_lost(self):
-        index = GridIndex(Rect(0, 0, 1, 1), nx=4)
-        index.insert(Rect(1.5, 1.5, 1.6, 1.6), 99)
-        assert len(index) == 1
-        # The object is clamped into a boundary cell; a window query over its
-        # true location must still *not* return it (the MBR check filters it),
-        # but it stays discoverable through a query covering its MBR.
-        assert index.window_query(Rect(1.4, 1.4, 1.7, 1.7)) == []
-        assert 99 not in index.window_query(Rect(0.9, 0.9, 1.0, 1.0))
-
-    def test_occupancy_reports_buckets(self):
-        index = GridIndex(Rect(0, 0, 1, 1), nx=2)
-        index.insert(Rect(0.1, 0.1, 0.2, 0.2), 1)
-        index.insert(Rect(0.6, 0.6, 0.7, 0.7), 2)
-        occupancy = index.occupancy()
-        assert sum(occupancy.values()) == 2
 
 
 class TestRectArray:

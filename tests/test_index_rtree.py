@@ -42,16 +42,6 @@ class TestRTreeConstruction:
     def test_invalid_fanout(self):
         with pytest.raises(ValueError):
             RTree(max_entries=2)
-        with pytest.raises(ValueError):
-            RTree(max_entries=16, min_entries=12)
-
-    def test_insert_preserves_invariants(self):
-        tree = RTree(max_entries=4)
-        entries = _random_entries(200, seed=1)
-        for rect, oid in entries:
-            tree.insert(rect, oid)
-        assert len(tree) == 200
-        tree.validate()
 
     def test_bulk_load_preserves_invariants(self):
         entries = _random_entries(500, seed=2)
@@ -88,25 +78,11 @@ class TestRTreeConstruction:
         ]
         assert list(by_entries.iter_entries()) == list(by_arrays.iter_entries())
 
-    def test_from_mbr_array_accepts_insert_after_load(self):
-        tree = RTree.from_mbr_array(
-            np.array([r.as_tuple() for r, _ in _random_entries(100, seed=3)])
-        )
-        tree.insert(Rect(0.5, 0.5, 0.5, 0.5), 1000)
-        tree.validate()
-        assert 1000 in tree.window_query(Rect(0.49, 0.49, 0.51, 0.51))
-
-
 class TestRTreeQueries:
-    @pytest.mark.parametrize("builder", ["insert", "bulk"])
+    @pytest.mark.parametrize("builder", ["bulk"])
     def test_window_query_matches_brute_force(self, builder):
         entries = _random_entries(300, seed=3, extent=0.05)
-        if builder == "insert":
-            tree = RTree(max_entries=8)
-            for rect, oid in entries:
-                tree.insert(rect, oid)
-        else:
-            tree = RTree.bulk_load(entries, max_entries=8)
+        tree = RTree.bulk_load(entries, max_entries=8)
         for window in (
             Rect(0.0, 0.0, 0.3, 0.3),
             Rect(0.25, 0.25, 0.75, 0.75),
@@ -126,18 +102,6 @@ class TestRTreeQueries:
         tree = RTree.bulk_load(_random_entries(10))
         with pytest.raises(ValueError):
             tree.range_query(Point(0.5, 0.5), -0.1)
-
-    def test_nearest_neighbors(self):
-        entries = _random_entries(200, seed=5)
-        tree = RTree.bulk_load(entries, max_entries=8)
-        center = Point(0.5, 0.5)
-        knn = tree.nearest_neighbors(center, k=5)
-        assert len(knn) == 5
-        dists = [d for d, _ in knn]
-        assert dists == sorted(dists)
-        # The closest reported distance must equal the brute-force minimum.
-        brute = min(rect.min_distance_to_point(center) for rect, _ in entries)
-        assert dists[0] == pytest.approx(brute)
 
     def test_level_mbrs_cover_children(self):
         entries = _random_entries(400, seed=6)

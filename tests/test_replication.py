@@ -7,7 +7,7 @@ The replication invariant of PR 9, exercised end to end:
   a query measures.  Under any recoverable fault plan, pairs,
   primary-lane bytes, statistics, decision traces and the merged
   shard-level ledger fingerprints are bit-identical to the fault-free
-  unreplicated run, standalone and brokered, for every router policy.
+  unreplicated run, standalone and brokered.
 * **Graceful degradation.**  Only when *every* replica of a shard is
   unavailable does the query surface a typed
   :class:`~repro.errors.ServerUnavailable`; in a broker wave the failed
@@ -30,14 +30,14 @@ from repro.core.join_types import JoinSpec
 from repro.core.planner import build_algorithm, build_session_stack, run_join
 from repro.core.result import JoinResult
 from repro.datasets.synthetic import clustered
-from repro.errors import ServerUnavailable
-from repro.network.faults import FaultPlan, replica_outages
+from repro.errors import QueryTimeout, RetryExhausted, ServerUnavailable
+from repro.geometry.rect import Rect
+from repro.network.channel import Channel
+from repro.network.config import NetworkConfig
+from repro.network.faults import FaultPlan, Outage, replica_outages
 from repro.server import ShardedSpatialServer
-from repro.server.remote import (
-    ROUTER_POLICIES,
-    HealthyFirstRouter,
-    make_router,
-)
+from repro.server.remote import RemoteServer, ResilienceController
+from repro.server.server import SpatialServer
 from repro.service import JoinQuery, QueryBroker
 from repro.service.cache import ResultCache, result_weight
 
@@ -187,13 +187,6 @@ class TestReplicatedFleetConstruction:
             ShardedSpatialServer(r, name="R", shards=2, replicas=0)
         with pytest.raises(ValueError):
             JoinQuery(r, r, JoinSpec.distance(EPSILON), replicas=0)
-        with pytest.raises(ValueError):
-            JoinQuery(r, r, JoinSpec.distance(EPSILON), router="nearest")
-        with pytest.raises(ValueError):
-            make_router("nearest")
-        assert isinstance(make_router(None), HealthyFirstRouter)
-        router = HealthyFirstRouter()
-        assert make_router(router) is router
 
     def test_replica_outages_helper(self):
         outs = replica_outages("R#0", 3, 5, 100)
@@ -236,14 +229,17 @@ class TestReplicationBitIdentity:
                               replicas=2)
         _assert_identical(replicated, plain)
 
+    @pytest.mark.parametrize("replicas", [2, 3])
     @pytest.mark.parametrize("algorithm", FLEET_ALGORITHMS)
-    def test_recoverable_chaos_pins_to_unreplicated_fault_free(self, algorithm):
+    def test_recoverable_chaos_pins_to_unreplicated_fault_free(
+        self, algorithm, replicas
+    ):
         """The acceptance invariant: R >= 2 under a recoverable plan ==
         the fault-free unreplicated run, merged fingerprints included."""
         r, s = _datasets()
         clean, clean_dev = _run_stack(r, s, algorithm, shards_r=2, shards_s=2)
         stormy, stormy_dev = _run_stack(
-            r, s, algorithm, shards_r=2, shards_s=2, replicas=2,
+            r, s, algorithm, shards_r=2, shards_s=2, replicas=replicas,
             faults=RECOVERABLE_PLAN,
         )
         _assert_identical(stormy, clean)
@@ -252,17 +248,6 @@ class TestReplicationBitIdentity:
         # failover-agnostic: record for record the unreplicated ledger.
         assert _fingerprints(stormy_dev) == _fingerprints(clean_dev)
         assert stormy.resilience is not None
-
-    @pytest.mark.parametrize("policy", sorted(ROUTER_POLICIES))
-    def test_every_router_policy_is_bit_identical(self, policy):
-        r, s = _datasets()
-        clean, clean_dev = _run_stack(r, s, "srjoin", shards_r=2, shards_s=2)
-        routed, routed_dev = _run_stack(
-            r, s, "srjoin", shards_r=2, shards_s=2, replicas=3,
-            router=policy, faults=RECOVERABLE_PLAN,
-        )
-        _assert_identical(routed, clean)
-        assert _fingerprints(routed_dev) == _fingerprints(clean_dev)
 
     def test_brokered_replication_bit_identity(self):
         r, s = _datasets()
@@ -285,8 +270,8 @@ class TestReplicationBitIdentity:
         assert srjoin.ledger_fingerprints == ref.ledger_fingerprints
 
     def test_replication_keys_the_result_cache(self):
-        """Replication factor and router policy are part of the cache key:
-        per-replica ledger detail differs, so runs must not share entries."""
+        """The replication factor is part of the cache key: per-replica
+        ledger detail differs, so runs must not share entries."""
         r, s = _datasets()
         spec = JoinSpec.distance(EPSILON)
         broker = QueryBroker(cache=True)
@@ -294,17 +279,14 @@ class TestReplicationBitIdentity:
             JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
                       shards_r=2, shards_s=2)
         ])[0]
-        again, replicated, rerouted = broker.run_batch([
+        again, replicated = broker.run_batch([
             JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
                       shards_r=2, shards_s=2),
             JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
                       shards_r=2, shards_s=2, replicas=2),
-            JoinQuery(r, s, spec, algorithm="srjoin", buffer_size=BUFFER,
-                      shards_r=2, shards_s=2, replicas=2, router="round_robin"),
         ])
         assert again.cached and first.result is again.result
         assert not replicated.cached
-        assert not rerouted.cached
         assert replicated.result.sorted_pairs() == first.result.sorted_pairs()
 
 
@@ -314,25 +296,37 @@ class TestReplicationBitIdentity:
 
 
 class TestFailover:
-    def test_replica_killed_mid_query_fails_over_without_drift(self):
+    @pytest.mark.parametrize("replicas", [2, 3])
+    def test_replica_killed_mid_query_fails_over_without_drift(self, replicas):
+        """Every replica of ``R#0`` but the last is dead from the start."""
+        dead = list(range(replicas - 1))
         r, s = _datasets()
         clean, clean_dev = _run_stack(r, s, "srjoin", shards_r=2, shards_s=2)
         killed, killed_dev = _run_stack(
-            r, s, "srjoin", shards_r=2, shards_s=2, replicas=2,
+            r, s, "srjoin", shards_r=2, shards_s=2, replicas=replicas,
             faults=FaultPlan(
                 seed=3,
-                outages=replica_outages("R#0", 2, 0, 10_000, indices=[0]),
+                outages=replica_outages("R#0", replicas, 0, 10_000, indices=dead),
             ),
         )
         _assert_identical(killed, clean)
         assert _fingerprints(killed_dev) == _fingerprints(clean_dev)
-        # Every lost exchange is ledgered as a failover off the dead
-        # replica, and the sibling carried all of the shard's traffic.
+        # Every lost exchange is ledgered as a failover off a dead
+        # replica, and the last replica carried all of the shard's traffic.
         summary = killed.resilience
+        off_dead = [("R#0", f"R#0/{idx}") for idx in dead]
         assert summary["failovers"] > 0
         assert all(
-            event[:2] == ("R#0", "R#0/0")
+            event[:2] in off_dead
             for event in summary["failover_events"]
+        )
+        # The first exchange fails over off each dead replica in turn
+        # (twice in one exchange with R = 3).
+        first = summary["failover_events"][: len(dead)]
+        assert [event[:2] for event in first] == off_dead
+        shard = killed_dev.servers.r.channel_snapshot()["shards"][0]
+        assert [rep["total_bytes"] > 0 for rep in shard["replicas"]] == (
+            [False] * len(dead) + [True]
         )
 
     def test_all_replicas_down_fails_typed(self):
@@ -348,6 +342,28 @@ class TestFailover:
         assert err.server == "R#0"
         assert err.kind == "unavailable"
         assert err.recoverable
+
+    def test_deadline_after_a_stall_keeps_the_stalled_records(self):
+        """A stalled exchange completes on the primary lane before the
+        deadline trips; the merged fingerprint keeps its records, like the
+        channel logs do."""
+        r, s = _datasets()
+        _, _, device = build_session_stack(
+            r, s, buffer_size=BUFFER, shards_r=2, shards_s=2, replicas=2,
+            faults=FaultPlan(seed=5, stall_rate=0.3, stall_latency_s=1.0),
+            deadline_s=3.0,
+        )
+        algo = build_algorithm("srjoin", device, JoinSpec.distance(EPSILON))
+        with pytest.raises(QueryTimeout):
+            algo.run(r.bounds().union(s.bounds()))
+        for side in (device.servers.r, device.servers.s):
+            spliced = [
+                rec for shard in side.ledger_fingerprint() for rec in shard[-1]
+            ]
+            logged = [
+                rec for chan in side.channels for rec in chan.log.fingerprint()
+            ]
+            assert sorted(spliced) == sorted(logged)
 
     def test_failed_query_is_isolated_from_its_wave(self):
         r, s = _datasets()
@@ -442,6 +458,188 @@ class TestFailover:
         assert outcomes[1].error.server == "R#0"
         assert "every replica" in str(outcomes[1].error)
         assert broker.stats.breaker_rejections == 1
+
+
+# --------------------------------------------------------------------------- #
+# the replica set of one: an unreplicated connection
+# --------------------------------------------------------------------------- #
+
+
+class TestSingleReplicaConnection:
+    """An unreplicated connection is a replica set of one.  It looks
+    exactly like its one channel, and a lost exchange surfaces the
+    exchange's own typed error -- never a shard-level failover verdict."""
+
+    def test_snapshot_and_fingerprint_are_the_channels(self):
+        r, s = _datasets()
+        _, device = _run_stack(
+            r, s, "srjoin", shards_r=2, faults=RECOVERABLE_PLAN
+        )
+        plain, fleet = device.servers.s, device.servers.r
+        assert plain.channels == (plain.channel,)
+        assert plain.channel_snapshot() == plain.channel.snapshot()
+        assert plain.ledger_fingerprint() == plain.channel.ledger_fingerprint()
+        # Every shard of an unreplicated fleet is a replica set of one too.
+        assert fleet.channel_snapshot()["shards"] == [
+            chan.snapshot() for chan in fleet.channels
+        ]
+        assert fleet.ledger_fingerprint() == tuple(
+            chan.ledger_fingerprint() for chan in fleet.channels
+        )
+        assert plain.failover_events() == fleet.failover_events() == ()
+
+    @pytest.mark.parametrize(
+        "shards, plan, error",
+        [
+            (1, FaultPlan(seed=3, outages=(Outage("R", 0, 10**4),)), ServerUnavailable),
+            (2, FaultPlan(seed=3, outages=(Outage("R#0", 0, 10**4),)), ServerUnavailable),
+            (1, FaultPlan(seed=3, drop_rate=0.9), RetryExhausted),
+        ],
+        ids=["plain-outage", "shard-outage", "plain-drops"],
+    )
+    def test_lost_exchange_reraises_its_own_error(self, shards, plan, error):
+        r, s = _datasets()
+        _, _, device = build_session_stack(
+            r, s, buffer_size=BUFFER, shards_r=shards, faults=plan
+        )
+        algo = build_algorithm("srjoin", device, JoinSpec.distance(EPSILON))
+        with pytest.raises(error) as exc_info:
+            algo.run(r.bounds().union(s.bounds()))
+        if error is ServerUnavailable:
+            # The controller's verdict names the failed exchange; a shard
+            # failover verdict would carry no exchange index.
+            assert exc_info.value.op_index is not None
+        assert device.servers.r.failover_events() == ()
+        assert device.servers.r.resilience.failovers == 0
+
+
+# --------------------------------------------------------------------------- #
+# the healthy-first replica ranking, on one connection
+# --------------------------------------------------------------------------- #
+
+
+class TestReplicaRanking:
+    """Which replica serves an exchange: probe replicas first, then
+    healthy ones, then replicas that lost an exchange of this run (until
+    ``reset_channels``), and ``down`` replicas last; ties keep replica
+    order.  Every replica answers identically, so the ranking shows only
+    in which replica channel carries the bytes."""
+
+    SHARD = "X"
+
+    def _connection(self, replicas=3, faults=None):
+        dataset = clustered(n=60, clusters=2, seed=21, name=self.SHARD)
+        servers = [
+            SpatialServer(dataset, name=f"{self.SHARD}/{j}")
+            for j in range(replicas)
+        ]
+        channels = [Channel(NetworkConfig(), name=srv.name) for srv in servers]
+        resilience = ResilienceController(faults) if faults is not None else None
+        return RemoteServer(
+            servers, channels, resilience=resilience, name=self.SHARD
+        )
+
+    @staticmethod
+    def _serving(conn):
+        """Query once; the names of the replica channels that moved bytes."""
+        before = [chan.total_bytes for chan in conn.channels]
+        conn.count(Rect(0.0, 0.0, 1.0, 1.0))
+        return [
+            chan.name
+            for chan, prior in zip(conn.channels, before)
+            if chan.total_bytes > prior
+        ]
+
+    def test_unmarked_connection_serves_from_the_first_replica(self):
+        conn = self._connection()
+        assert conn.backing_server.name == "X/0"
+        assert self._serving(conn) == ["X/0"]
+        assert self._serving(conn) == ["X/0"]
+
+    def test_down_replica_is_routed_around(self):
+        conn = self._connection()
+        conn.apply_health({"X/0": "down"})
+        assert conn.backing_server.name == "X/1"
+        assert self._serving(conn) == ["X/1"]
+
+    def test_probe_replica_is_preferred(self):
+        conn = self._connection()
+        conn.apply_health({"X/2": "probe"})
+        assert conn.backing_server.name == "X/2"
+        assert self._serving(conn) == ["X/2"]
+
+    def test_later_verdict_replaces_the_earlier_one(self):
+        conn = self._connection()
+        conn.apply_health({"X/0": "down"})
+        conn.apply_health({"X/0": "probe"})
+        assert self._serving(conn) == ["X/0"]
+        conn.apply_health({"X/0": "down"})
+        assert self._serving(conn) == ["X/1"]
+
+    def test_verdicts_for_other_servers_are_ignored(self):
+        conn = self._connection()
+        conn.apply_health({"Y/0": "down", "X": "down", "X/9": "probe"})
+        assert self._serving(conn) == ["X/0"]
+
+    def test_marks_survive_reset_channels(self):
+        conn = self._connection()
+        conn.apply_health({"X/0": "down", "X/2": "probe"})
+        conn.reset_channels()
+        assert self._serving(conn) == ["X/2"]
+
+    def test_failed_replica_sinks_until_reset(self):
+        conn = self._connection(
+            faults=FaultPlan(seed=3, outages=(Outage("X/0", 0, 10**4),))
+        )
+        # The first exchange loses X/0 (its attempts land on X/0's retry
+        # lane, not its primary lane) and fails over to X/1.
+        assert self._serving(conn) == ["X/1"]
+        assert [event[:2] for event in conn.failover_events()] == [("X", "X/0")]
+        # X/0 now ranks below the healthy replicas: no new failover.
+        assert conn.backing_server.name == "X/1"
+        assert self._serving(conn) == ["X/1"]
+        assert len(conn.failover_events()) == 1
+        # A reset forgets the failure: X/0 is tried first again.
+        conn.reset_channels()
+        assert conn.failover_events() == ()
+        assert conn.backing_server.name == "X/0"
+        assert self._serving(conn) == ["X/1"]
+        assert [event[:2] for event in conn.failover_events()] == [("X", "X/0")]
+
+    def test_down_replica_is_the_last_resort(self):
+        conn = self._connection(
+            replicas=2,
+            faults=FaultPlan(seed=3, outages=(Outage("X/1", 0, 10**4),)),
+        )
+        conn.apply_health({"X/0": "down"})
+        assert self._serving(conn) == ["X/0"]
+        assert [event[:2] for event in conn.failover_events()] == [("X", "X/1")]
+
+    def test_losing_every_replica_is_a_shard_verdict(self):
+        conn = self._connection(
+            replicas=2,
+            faults=FaultPlan(
+                seed=3,
+                outages=(Outage("X/0", 0, 10**4), Outage("X/1", 0, 10**4)),
+            ),
+        )
+        with pytest.raises(ServerUnavailable) as exc_info:
+            conn.count(Rect(0.0, 0.0, 1.0, 1.0))
+        err = exc_info.value
+        assert (err.server, err.op_index, err.kind) == ("X", None, "unavailable")
+        assert [event[:2] for event in conn.failover_events()] == [
+            ("X", "X/0"),
+            ("X", "X/1"),
+        ]
+
+    def test_construction_validation(self):
+        server = SpatialServer(clustered(n=20, clusters=1, seed=1), name="X")
+        channel = Channel(NetworkConfig(), name="X")
+        with pytest.raises(ValueError, match="at least one replica"):
+            RemoteServer((), ())
+        with pytest.raises(ValueError, match="one channel per replica"):
+            RemoteServer((server,), (channel, Channel(NetworkConfig())))
+        assert RemoteServer((server,), (channel,)).name == "X"
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Tests for JoinSpec finalisation, JoinResult and the refpoint helpers."""
+"""Tests for JoinSpec finalisation and JoinResult."""
 
 from __future__ import annotations
 
@@ -6,14 +6,7 @@ import pytest
 
 from repro.core.join_types import JoinKind, JoinSpec
 from repro.core.result import JoinResult, TraceEvent
-from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.geometry.refpoint import (
-    belongs_to_cell,
-    dedup_key,
-    pair_reference_point,
-    reference_point,
-)
 
 
 class TestJoinSpec:
@@ -80,35 +73,3 @@ class TestJoinResult:
         result = self._result()
         assert "start" in result.format_trace()
         assert result.format_trace(max_events=0) == ""
-
-
-class TestReferencePoints:
-    def test_reference_point_of_overlapping_rects(self):
-        a = Rect(0.0, 0.0, 0.5, 0.5)
-        b = Rect(0.25, 0.25, 0.75, 0.75)
-        assert reference_point(a, b) == Point(0.25, 0.25)
-
-    def test_reference_point_disjoint_is_none(self):
-        assert reference_point(Rect(0, 0, 0.1, 0.1), Rect(0.5, 0.5, 0.6, 0.6)) is None
-
-    def test_pair_reference_point_for_distance_pair(self):
-        a = Rect.from_point(Point(0.1, 0.1))
-        b = Rect.from_point(Point(0.2, 0.1))
-        ref = pair_reference_point(a, b, epsilon=0.2)
-        assert ref == Point(0.15000000000000002, 0.1) or ref == Point(0.15, 0.1)
-
-    def test_pair_reference_point_disjoint_without_epsilon_raises(self):
-        with pytest.raises(ValueError):
-            pair_reference_point(Rect(0, 0, 0.1, 0.1), Rect(0.5, 0.5, 0.6, 0.6), epsilon=0.0)
-
-    def test_belongs_to_exactly_one_tiling_cell(self):
-        a = Rect.from_point(Point(0.49, 0.5))
-        b = Rect.from_point(Point(0.52, 0.5))
-        cells = Rect(0, 0, 1, 1).quadrants()
-        owners = [cell for cell in cells if belongs_to_cell(a, b, cell, epsilon=0.1)]
-        # The reference point may fall on a shared edge and be owned by up to
-        # two closed cells, but never zero.
-        assert 1 <= len(owners) <= 2
-
-    def test_dedup_key(self):
-        assert dedup_key(3, 7) == (3, 7)
